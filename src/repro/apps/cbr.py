@@ -35,6 +35,7 @@ class CbrSource:
                 f"payload must be > 0 bytes, got {payload_bytes}"
             )
         self._node = node
+        self._category = f"app.{node.address}"
         self._dst = dst
         self._dst_port = dst_port
         self._payload_bytes = payload_bytes
@@ -84,7 +85,7 @@ class CbrSource:
         if tracer.audit:
             tracer.emit_audit(
                 self._node.sim.now_ns,
-                f"app.{self._node.address}",
+                self._category,
                 "offer",
                 seq=self._sequence,
                 dst=self._dst,

@@ -12,6 +12,7 @@ class UdpSink:
 
     def __init__(self, node: Node, port: int, warmup_s: float = 0.0):
         self._node = node
+        self._category = f"app.{node.address}"
         self._warmup_ns = s_to_ns(warmup_s)
         self._socket = node.udp.bind(port)
         self._socket.on_receive(self._on_datagram)
@@ -37,7 +38,7 @@ class UdpSink:
         if tracer.audit:
             tracer.emit_audit(
                 now,
-                f"app.{self._node.address}",
+                self._category,
                 "rx",
                 src=src,
                 size_bytes=payload_bytes,

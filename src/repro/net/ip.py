@@ -20,6 +20,7 @@ class IpLayer:
     def __init__(self, mac: MacStation, routing: StaticRouting | None = None):
         self._mac = mac
         self._address = mac.address
+        self._category = f"net.{mac.address}"
         self._routing = routing if routing is not None else StaticRouting(mac.address)
         self._handlers: dict[str, ProtocolHandler] = {}
         self._next_sdu_id = 0
@@ -77,7 +78,7 @@ class IpLayer:
             # so the ledger sees the SDU before any terminal state.
             tracer.emit_audit(
                 self._mac.sim.now_ns,
-                f"net.{self._address}",
+                self._category,
                 "sdu_open",
                 sdu=datagram.sdu_id,
                 origin=self._address,
@@ -109,7 +110,7 @@ class IpLayer:
         if tracer.audit and datagram.sdu_id >= 0:
             tracer.emit_audit(
                 self._mac.sim.now_ns,
-                f"net.{self._address}",
+                self._category,
                 "sdu_drop",
                 sdu=datagram.sdu_id,
                 origin=datagram.src,
@@ -125,7 +126,7 @@ class IpLayer:
             if tracer.audit and msdu.sdu_id >= 0:
                 tracer.emit_audit(
                     self._mac.sim.now_ns,
-                    f"net.{self._address}",
+                    self._category,
                     "sdu_deliver",
                     sdu=msdu.sdu_id,
                     origin=msdu.src,
@@ -145,7 +146,7 @@ class IpLayer:
         if tracer.audit and msdu.sdu_id >= 0:
             tracer.emit_audit(
                 self._mac.sim.now_ns,
-                f"net.{self._address}",
+                self._category,
                 "sdu_forward",
                 sdu=msdu.sdu_id,
                 origin=msdu.src,

@@ -8,7 +8,6 @@ single predicate call per record when disabled.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Any, Callable
 
 from repro.units import ns_to_s
@@ -16,14 +15,44 @@ from repro.units import ns_to_s
 TraceSubscriber = Callable[["TraceRecord"], None]
 
 
-@dataclass(frozen=True)
 class TraceRecord:
-    """One trace event."""
+    """One trace event.
 
-    time_ns: int
-    category: str
-    event: str
-    fields: dict[str, Any] = field(default_factory=dict)
+    A plain ``__slots__`` class rather than a frozen dataclass, because
+    one is built per delivered event and slot construction is several
+    times cheaper.  Subscribers must treat a record as read-only: every
+    subscriber on a route receives the same object.
+    """
+
+    __slots__ = ("time_ns", "category", "event", "fields")
+
+    def __init__(
+        self,
+        time_ns: int,
+        category: str,
+        event: str,
+        fields: dict[str, Any] | None = None,
+    ) -> None:
+        self.time_ns = time_ns
+        self.category = category
+        self.event = event
+        self.fields: dict[str, Any] = {} if fields is None else fields
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, TraceRecord):
+            return NotImplemented
+        return (
+            self.time_ns == other.time_ns
+            and self.category == other.category
+            and self.event == other.event
+            and self.fields == other.fields
+        )
+
+    def __repr__(self) -> str:
+        return (
+            f"TraceRecord(time_ns={self.time_ns!r}, category={self.category!r}, "
+            f"event={self.event!r}, fields={self.fields!r})"
+        )
 
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         kv = " ".join(f"{k}={v}" for k, v in self.fields.items())
@@ -35,8 +64,9 @@ class Tracer:
 
     Two emission paths exist:
 
-    * :meth:`emit` — the general path: bumps the ``category.event``
-      counter here, then fans out to subscribers.
+    * :meth:`emit` (and its gated twin :meth:`emit_audit`) — the general
+      path: bumps the ``category.event`` counter here, then fans out to
+      subscribers.
     * self-counting components (the PHY and MAC hot paths) keep their
       own per-event counter dict, registered via
       :meth:`register_counters`, and call :meth:`fanout` only behind a
@@ -46,10 +76,24 @@ class Tracer:
       :meth:`counters` merge the registered dicts back in, so counter
       totals (and the golden trace digests derived from them) are
       identical whichever path a component uses.
+
+    Both paths deliver through one routing table: ``category.event`` →
+    the tuple of subscribers whose prefix matches it, in subscription
+    order.  A key's route is resolved from the prefix list the first
+    time the key is delivered, and the whole table is dropped on every
+    :meth:`subscribe`/:meth:`unsubscribe`, so each record costs one dict
+    lookup instead of a scan over every prefix.  A key nobody listens to
+    builds no record.
+
+    Delivery iterates over the route as it stood when the record was
+    emitted.  A subscriber added from inside a callback therefore first
+    sees the *next* emitted record, and one removed mid-delivery still
+    receives the current record.
     """
 
     def __init__(self) -> None:
         self._subscribers: list[tuple[str, TraceSubscriber]] = []
+        self._routes: dict[str, tuple[TraceSubscriber, ...]] = {}
         self._counters: dict[str, int] = {}
         self._registered: list[tuple[str, dict[str, int]]] = []
         #: Gate for the audit event channel (:meth:`emit_audit`).  A
@@ -63,14 +107,10 @@ class Tracer:
         #: :meth:`fanout`.  Maintained by subscribe/unsubscribe.
         self.active = False
 
-    @property
-    def enabled(self) -> bool:
-        """True when at least one subscriber is attached."""
-        return bool(self._subscribers)
-
     def subscribe(self, callback: TraceSubscriber, prefix: str = "") -> None:
         """Receive every record whose ``category.event`` starts with ``prefix``."""
         self._subscribers.append((prefix, callback))
+        self._routes = {}
         self.active = True
 
     def unsubscribe(self, callback: TraceSubscriber) -> None:
@@ -78,6 +118,7 @@ class Tracer:
         self._subscribers = [
             (prefix, cb) for prefix, cb in self._subscribers if cb != callback
         ]
+        self._routes = {}
         self.active = bool(self._subscribers)
 
     def register_counters(self, category: str, counters: dict[str, int]) -> None:
@@ -95,31 +136,7 @@ class Tracer:
         self, time_ns: int, category: str, event: str, **fields: Any
     ) -> None:
         """Publish one record; also bumps the ``category.event`` counter."""
-        key = f"{category}.{event}"
-        self._counters[key] = self._counters.get(key, 0) + 1
-        if not self._subscribers:
-            return
-        record = TraceRecord(time_ns, category, event, fields)
-        for prefix, callback in self._subscribers:
-            if key.startswith(prefix):
-                callback(record)
-
-    def fanout(
-        self, time_ns: int, category: str, event: str, fields: dict[str, Any]
-    ) -> None:
-        """Deliver one record to subscribers *without* counting it.
-
-        The fan-out half of :meth:`emit`, for self-counting components
-        (their registered dict already holds the count).  Callers guard
-        with :attr:`active`; calling with no subscribers is a no-op.
-        """
-        if not self._subscribers:
-            return
-        key = f"{category}.{event}"
-        record = TraceRecord(time_ns, category, event, fields)
-        for prefix, callback in self._subscribers:
-            if key.startswith(prefix):
-                callback(record)
+        self._publish(time_ns, category, event, fields)
 
     def emit_audit(
         self, time_ns: int, category: str, event: str, **fields: Any
@@ -132,9 +149,45 @@ class Tracer:
         counter digests (and cache keys derived from them) are identical
         whether a build carries audit instrumentation or not.
         """
-        if not self.audit:
-            return
-        self.emit(time_ns, category, event, **fields)
+        if self.audit:
+            self._publish(time_ns, category, event, fields)
+
+    def fanout(
+        self, time_ns: int, category: str, event: str, fields: dict[str, Any]
+    ) -> None:
+        """Deliver one record to subscribers *without* counting it.
+
+        The fan-out half of :meth:`emit`, for self-counting components
+        (their registered dict already holds the count).  Callers guard
+        with :attr:`active`; calling with no subscribers is a no-op.
+        """
+        self._deliver(f"{category}.{event}", time_ns, category, event, fields)
+
+    def _publish(
+        self, time_ns: int, category: str, event: str, fields: dict[str, Any]
+    ) -> None:
+        key = f"{category}.{event}"
+        self._counters[key] = self._counters.get(key, 0) + 1
+        if self.active:
+            self._deliver(key, time_ns, category, event, fields)
+
+    def _deliver(
+        self,
+        key: str,
+        time_ns: int,
+        category: str,
+        event: str,
+        fields: dict[str, Any],
+    ) -> None:
+        route = self._routes.get(key)
+        if route is None:
+            route = self._routes[key] = tuple(
+                cb for prefix, cb in self._subscribers if key.startswith(prefix)
+            )
+        if route:
+            record = TraceRecord(time_ns, category, event, fields)
+            for callback in route:
+                callback(record)
 
     def count(self, key: str) -> int:
         """How many records of ``category.event`` were emitted."""

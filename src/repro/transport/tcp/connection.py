@@ -83,6 +83,7 @@ class TcpConnection:
         self.local_port = local_port
         self.remote_addr = remote_addr
         self.remote_port = remote_port
+        self._category = f"tcp.{local_addr}:{local_port}"
         self._tracer = tracer if tracer is not None else Tracer()
 
         self.state = TcpState.CLOSED
@@ -453,7 +454,7 @@ class TcpConnection:
     def _trace(self, event: str, **fields: Any) -> None:
         self._tracer.emit(
             self._sim.now_ns,
-            f"tcp.{self.local_addr}:{self.local_port}",
+            self._category,
             event,
             **fields,
         )
@@ -462,7 +463,7 @@ class TcpConnection:
         """Audit-channel event (callers gate on ``tracer.audit``)."""
         self._tracer.emit_audit(
             self._sim.now_ns,
-            f"tcp.{self.local_addr}:{self.local_port}",
+            self._category,
             event,
             **fields,
         )

@@ -83,6 +83,7 @@ class UdpProtocol:
 
     def __init__(self, ip: "IpLayer"):
         self._ip = ip
+        self._category = f"udp.{ip.address}"
         self._sockets: dict[int, UdpSocket] = {}
         self._next_ephemeral = 49152
         ip.register_protocol(TransportProtocol.UDP.value, self._on_segment)
@@ -110,7 +111,7 @@ class UdpProtocol:
         if tracer.audit:
             tracer.emit_audit(
                 self._ip.sim.now_ns,
-                f"udp.{self._ip.address}",
+                self._category,
                 "tx",
                 dst=dst,
                 dst_port=segment.dst_port,
@@ -125,7 +126,7 @@ class UdpProtocol:
         if tracer.audit:
             tracer.emit_audit(
                 self._ip.sim.now_ns,
-                f"udp.{self._ip.address}",
+                self._category,
                 "rx",
                 src=src,
                 dst_port=segment.dst_port,

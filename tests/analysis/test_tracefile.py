@@ -35,7 +35,7 @@ class TestTraceWriter:
         with TraceWriter(tracer, tmp_path / "t.jsonl"):
             pass
         tracer.emit(0, "mac", "tx_data")  # must not explode
-        assert not tracer.enabled
+        assert not tracer.active
 
     def test_creates_parent_directories(self, tmp_path):
         tracer = Tracer()
