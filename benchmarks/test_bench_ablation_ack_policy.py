@@ -13,7 +13,7 @@ from repro.apps.cbr import CbrSource
 from repro.apps.sink import UdpSink
 from repro.channel.placement import figure6_placement
 from repro.core.params import Rate
-from repro.experiments.common import build_network
+from repro.scenario import build_network
 from repro.mac.dcf import AckPolicy
 
 DURATION_S = 6.0

@@ -11,7 +11,7 @@ from repro.analysis.tables import render_table
 from repro.apps.cbr import CbrSource
 from repro.apps.sink import UdpSink
 from repro.core.params import Rate
-from repro.experiments.common import build_network
+from repro.scenario import build_network
 from repro.phy.radio import RadioParameters
 
 DURATION_S = 4.0

@@ -10,7 +10,7 @@ from repro.analysis.tables import render_table
 from repro.apps.cbr import CbrSource
 from repro.apps.sink import UdpSink
 from repro.core.params import Dot11bConfig, MacParameters, Rate
-from repro.experiments.common import build_network
+from repro.scenario import build_network
 from repro.phy.reception import BerReception, SinrThresholdReception
 
 DISTANCES_M = (10.0, 25.0, 31.0, 40.0, 60.0)

@@ -12,7 +12,7 @@ from repro.apps.cbr import CbrSource
 from repro.apps.sink import UdpSink
 from repro.core.params import ALL_RATES, Dot11bConfig, PlcpParameters, Rate
 from repro.core.throughput_model import ThroughputModel
-from repro.experiments.common import build_network
+from repro.scenario import build_network
 
 
 def _simulated(plcp: PlcpParameters, rate: Rate) -> float:

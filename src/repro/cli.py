@@ -38,10 +38,11 @@ import argparse
 import sys
 from typing import Sequence
 
-from repro.errors import SweepInterrupted
+from repro.errors import ConfigurationError, SweepInterrupted
 from repro.experiments.registry import EXPERIMENTS
 from repro.experiments.runner import ExperimentResult, RunnerConfig, run_suite
 from repro.parallel import SweepCache
+from repro.parallel.engine import ON_ERROR_POLICIES
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -180,7 +181,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--on-error",
-        choices=("raise", "skip", "degrade"),
+        choices=ON_ERROR_POLICIES,
         default="raise",
         dest="on_error",
         help=(
@@ -355,6 +356,17 @@ def main(argv: Sequence[str] | None = None) -> int:
             file=sys.stderr,
         )
         return 2
+    try:
+        config = RunnerConfig(
+            timeout_s=args.timeout,
+            max_retries=args.retries,
+            on_error=args.on_error,
+            journal_path=args.journal,
+            resume=args.resume,
+        )
+    except ConfigurationError as error:
+        print(f"error: {error}", file=sys.stderr)
+        return 2
     cache = None
     if not args.no_cache:
         cache = SweepCache(root=args.cache_dir)
@@ -372,13 +384,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         return _profile(args)
     if args.experiment == "audit":
         return _audit(args)
-    config = RunnerConfig(
-        timeout_s=args.timeout,
-        max_retries=max(0, args.retries),
-        on_error=args.on_error,
-        journal_path=args.journal,
-        resume=args.resume,
-    )
     if args.experiment == "spec":
         return _run_spec(args, cache, config)
     names = sorted(EXPERIMENTS) if args.experiment == "all" else [args.experiment]

@@ -6,7 +6,6 @@ simulated values and the paper's published values (from
 paper-vs-measured rows directly.
 """
 
-from repro.experiments.common import ScenarioNetwork, build_network
 from repro.experiments.table2 import Table2Row, run_table2
 from repro.experiments.two_nodes import Figure2Result, run_figure2
 from repro.experiments.ranges import (
@@ -34,9 +33,7 @@ __all__ = [
     "FourNodeResult",
     "LossCurve",
     "RangeEstimate",
-    "ScenarioNetwork",
     "Table2Row",
-    "build_network",
     "estimate_tx_range",
     "get_experiment",
     "run_figure2",

@@ -15,64 +15,38 @@ can never take down the batch:
   completes;
 * the :class:`SuiteReport` renders both a human-readable summary and a
   machine-readable JSON document.
+
+The policy (:class:`~repro.parallel.engine.RunnerConfig`) and the
+attempt loop (:func:`~repro.parallel.engine.run_attempts`) are the
+ones every sweep runs under, so an experiment and its sweep points
+retry, time out and back off identically.
 """
 
 from __future__ import annotations
 
 import json
-import threading
 import time
 import traceback
 from dataclasses import dataclass, field
 from typing import Any, Callable, Mapping, Sequence
 
-from repro.errors import (
-    ExperimentError,
-    SimulationError,
-    SweepInterrupted,
-    WatchdogTimeout,
-)
+from repro.errors import ExperimentError
 from repro.experiments.registry import EXPERIMENTS, Experiment
-from repro.parallel.engine import backoff_delay_s
+from repro.parallel.engine import (
+    DEFAULT_RETRY_SEED_STEP,
+    RunnerConfig,
+    classify_failure,
+    run_attempts,
+)
 
-#: Default seed offset between retry attempts.  A large odd constant so
-#: perturbed seeds never collide with a user's natural seed sweep.
-DEFAULT_RETRY_SEED_STEP = 100_003
-
-
-@dataclass(frozen=True)
-class RunnerConfig:
-    """Robustness policy for one suite run.
-
-    The same object travels from the CLI through ``run_experiment``
-    into every sweep an experiment makes (``policy=`` on
-    :func:`repro.parallel.run_sweep`), so retry/timeout/backoff,
-    failure policy and journaling are configured exactly once.
-    """
-
-    #: Wall-clock budget per attempt; ``None`` disables the timeout.
-    timeout_s: float | None = None
-    #: Extra attempts after a ``SimulationError`` (0 = never retry).
-    max_retries: int = 1
-    #: Seed offset added per retry attempt.
-    retry_seed_step: int = DEFAULT_RETRY_SEED_STEP
-    #: Base delay of the deterministic jittered exponential backoff
-    #: slept before each retry attempt (0 retries immediately).
-    backoff_base_s: float = 0.1
-    #: Ceiling on one backoff delay.
-    backoff_max_s: float = 2.0
-    #: Sweep failure policy: ``"raise"`` aborts on the first point that
-    #: exhausts its retries, ``"skip"`` substitutes ``None`` for failed
-    #: points, ``"degrade"`` substitutes typed
-    #: :class:`~repro.parallel.supervisor.PointFailure` records; the
-    #: latter two complete the sweep and print a report.
-    on_error: str = "raise"
-    #: Path of the persistent per-point sweep journal (JSONL); ``None``
-    #: disables journaling.
-    journal_path: str | None = None
-    #: Resume from ``journal_path`` + cache: points already recorded
-    #: ``ok`` under the current code version are not re-executed.
-    resume: bool = False
+__all__ = [
+    "DEFAULT_RETRY_SEED_STEP",
+    "ExperimentResult",
+    "RunnerConfig",
+    "SuiteReport",
+    "run_experiment",
+    "run_suite",
+]
 
 
 @dataclass
@@ -167,46 +141,6 @@ class SuiteReport:
         return "\n".join(lines)
 
 
-class _Attempt:
-    """One experiment attempt, optionally bounded by a wall-clock budget.
-
-    The attempt runs on a daemon worker thread only when a timeout is
-    requested; Python offers no portable way to kill the worker, so a
-    timed-out attempt is *abandoned* (it keeps burning CPU until it
-    finishes or the process exits) and reported as a timeout.  Pair the
-    runner timeout with an engine :class:`~repro.sim.engine.Watchdog`
-    budget when the leak matters.
-    """
-
-    def __init__(self, fn: Callable[[], str]):
-        self._fn = fn
-        self._output: str | None = None
-        self._error: BaseException | None = None
-
-    def _target(self) -> None:
-        try:
-            self._output = self._fn()
-        except BaseException as error:  # noqa: BLE001 - re-raised on the caller
-            self._error = error
-
-    def run(self, timeout_s: float | None) -> str:
-        if timeout_s is None:
-            self._target()
-        else:
-            worker = threading.Thread(target=self._target, daemon=True)
-            worker.start()
-            worker.join(timeout_s)
-            if worker.is_alive():
-                raise WatchdogTimeout(
-                    f"experiment exceeded its {timeout_s:g}s wall-clock budget"
-                )
-        if self._error is not None:
-            raise self._error
-        if self._output is None:
-            raise ExperimentError("experiment returned no output")
-        return self._output
-
-
 def run_experiment(
     name: str,
     seed: int = 1,
@@ -245,58 +179,44 @@ def run_experiment(
         result.attempts = 0
         return result
 
-    for attempt in range(config.max_retries + 1):
-        if attempt:
-            # Deterministic jittered exponential backoff: derived from
-            # the attempt index and experiment name, never a live RNG,
-            # so a re-run reproduces the same retry schedule.
-            delay = backoff_delay_s(
-                attempt,
-                config.backoff_base_s,
-                config.backoff_max_s,
-                token=name,
+    def attempt(index: int) -> str:
+        output = experiment.invoke(
+            overrides,
+            seed=seed + index * config.retry_seed_step,
+            duration_s=duration_s,
+            probes=probes,
+            jobs=jobs,
+            cache=cache,
+            policy=config,
+        )
+        if output is None:
+            raise ExperimentError("experiment returned no output")
+        return output
+
+    # Backoff jitter is derived from the attempt index and experiment
+    # name, never a live RNG, so a re-run reproduces the same retry
+    # schedule.  A graceful SIGINT/SIGTERM shutdown (SweepInterrupted)
+    # propagates so the CLI can exit with the resumable state.
+    outcome = run_attempts(attempt, config, token=name, label="experiment")
+    assert outcome is not None  # never cancelled
+    result.attempts = outcome.attempts
+    result.seeds = [
+        seed + index * config.retry_seed_step for index in range(outcome.attempts)
+    ]
+    error = outcome.error
+    if error is None:
+        result.status = "ok"
+        result.output = outcome.value
+    else:
+        result.status, retryable = classify_failure(error)
+        result.error = str(error) or type(error).__name__
+        result.error_type = type(error).__name__
+        if not retryable:
+            # Deterministic failures carry their traceback; kernel-level
+            # ones were retried with perturbed seeds instead.
+            result.traceback = "".join(
+                traceback.format_exception(type(error), error, error.__traceback__)
             )
-            if delay > 0.0:
-                time.sleep(delay)
-        attempt_seed = seed + attempt * config.retry_seed_step
-        result.attempts = attempt + 1
-        result.seeds.append(attempt_seed)
-        try:
-            result.output = _Attempt(
-                lambda: experiment.invoke(
-                    overrides,
-                    seed=attempt_seed,
-                    duration_s=duration_s,
-                    probes=probes,
-                    jobs=jobs,
-                    cache=cache,
-                    policy=config,
-                )
-            ).run(config.timeout_s)
-            result.status = "ok"
-            result.error = None
-            result.error_type = None
-            break
-        except SweepInterrupted:
-            # A graceful SIGINT/SIGTERM shutdown is not a failure to
-            # degrade or retry — it propagates so the CLI can exit with
-            # the resumable state (journal + cache already flushed).
-            raise
-        except SimulationError as error:
-            # Kernel-level failure (watchdog, scheduling, MAC invariant):
-            # eligible for a reseeded retry.
-            result.status = (
-                "timeout" if isinstance(error, WatchdogTimeout) else "failed"
-            )
-            result.error = str(error)
-            result.error_type = type(error).__name__
-        except Exception as error:  # noqa: BLE001 - isolation boundary
-            # Anything else is deterministic; retrying cannot help.
-            result.status = "failed"
-            result.error = str(error) or type(error).__name__
-            result.error_type = type(error).__name__
-            result.traceback = traceback.format_exc()
-            break
     result.elapsed_s = time.monotonic() - started
     return result
 

@@ -6,16 +6,18 @@ Public surface:
   — describe independent ``(scenario, seed)`` points and fan them
   across a supervised worker pool, merging results in deterministic
   point order.
+* :class:`~repro.parallel.engine.RunnerConfig` — the one validated
+  retry/timeout/backoff/failure policy, shared by the experiment
+  runner and every sweep, and executed by one attempt loop
+  (:func:`~repro.parallel.engine.run_attempts`).
 * :func:`~repro.parallel.supervisor.supervise_sweep` — the crash-safe
-  executor underneath ``run_sweep``: dead/hung-worker detection with
-  respawn, journaled outcomes, ``--resume`` and ``on_error`` failure
-  policies, graceful SIGINT/SIGTERM shutdown.
+  executor underneath ``run_sweep`` and the only user of worker
+  processes: dead/hung-worker detection with respawn, journaled
+  outcomes, ``--resume`` and ``on_error`` failure policies, graceful
+  SIGINT/SIGTERM shutdown.
 * :class:`~repro.parallel.journal.SweepJournal` /
   :func:`~repro.parallel.journal.load_journal` — persistent JSONL
   journal of per-point outcomes enabling bit-identical resume.
-* :func:`~repro.parallel.engine.pmap` — ordered parallel map for
-  picklable callables (the :func:`repro.experiments.replication`
-  path), with serialized worker-error transport.
 * :class:`~repro.parallel.cache.SweepCache` — content-addressed result
   store keyed on canonical parameters + seed + code-version tag.
 """
@@ -27,10 +29,9 @@ from repro.parallel.cache import (
     point_key,
 )
 from repro.parallel.engine import (
+    RunnerConfig,
     SweepPoint,
     backoff_delay_s,
-    execute_point,
-    pmap,
     run_sweep,
 )
 from repro.parallel.journal import PointRecord, SweepJournal, load_journal
@@ -44,6 +45,7 @@ from repro.parallel.supervisor import (
 __all__ = [
     "PointFailure",
     "PointRecord",
+    "RunnerConfig",
     "SweepCache",
     "SweepJournal",
     "SweepOutcome",
@@ -52,9 +54,7 @@ __all__ = [
     "backoff_delay_s",
     "code_version_tag",
     "default_cache_dir",
-    "execute_point",
     "load_journal",
-    "pmap",
     "point_key",
     "run_sweep",
     "supervise_sweep",

@@ -1,11 +1,11 @@
-"""Process-pool sweep engine for embarrassingly-parallel experiments.
+"""Sweep engine: points, the retry policy and the one attempt loop.
 
 Every paper artefact is a grid of *independent* simulation points —
 ``(scenario parameters, seed)`` tuples whose results are merged into a
-table or figure.  The engine fans those points across worker processes
-and merges results **in point order**, so parallel output is
-bit-identical to the serial path; ``jobs=1`` never touches
-``multiprocessing`` at all.
+table or figure.  :func:`run_sweep` hands those points to the
+supervised executor (:mod:`repro.parallel.supervisor`), which runs them
+in-process or across worker processes and merges results **in point
+order**, so parallel output is bit-identical to the serial path.
 
 Points are described, not closed over: a :class:`SweepPoint` names its
 function by dotted path (``"repro.experiments.ranges:loss_point"``) and
@@ -14,47 +14,107 @@ picklable under any start method (the engine is spawn-safe) and gives
 the :class:`~repro.parallel.cache.SweepCache` a canonical content
 address for each result.
 
-Execution is delegated to the supervised executor
-(:mod:`repro.parallel.supervisor`): per-point dispatch with wall-clock
-deadlines, dead/hung-worker detection with respawn and task
-reassignment, bounded retry with jittered exponential backoff and
-perturbed seeds, an optional persistent journal
-(:mod:`repro.parallel.journal`) with ``resume`` support, and a failure
-policy (``on_error = "raise" | "skip" | "degrade"``).  Completed
-results are persisted to the cache *as they finish*, so one failing
-point never discards the work of the others.
-
-The hardened runner's per-point policy travels into the workers: a
-:class:`~repro.experiments.runner.RunnerConfig`-shaped object (anything
-with ``timeout_s`` / ``max_retries`` / ``retry_seed_step`` /
-``backoff_base_s`` / ``backoff_max_s`` / ``on_error`` /
-``journal_path`` / ``resume``) applies the same semantics to each
-point, whether it runs in-process or in a pool worker.
+Retries, timeouts and backoff are configured once, by a validated
+:class:`RunnerConfig`, and executed by one attempt loop,
+:func:`run_attempts`: the hardened experiment runner and the
+supervisor's in-process path both call it, and the supervisor's pooled
+path shares its backoff schedule (:func:`backoff_delay_s`) and failure
+classification (:func:`classify_failure`).
 """
 
 from __future__ import annotations
 
 import hashlib
 import importlib
-import multiprocessing
+import math
 import threading
 import time
-import traceback
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable, Mapping, Sequence
+from functools import partial
+from typing import Any, Callable, Mapping, Sequence
 
 from repro import errors as _errors
-from repro.errors import ExperimentError, SimulationError, WatchdogTimeout
+from repro.errors import (
+    ConfigurationError,
+    ExperimentError,
+    SimulationError,
+    SweepInterrupted,
+    WatchdogTimeout,
+)
 from repro.parallel.cache import SweepCache
 from repro.parallel.journal import SweepJournal
 
-#: ``(timeout_s, max_retries, retry_seed_step, backoff_base_s,
-#: backoff_max_s)`` — the picklable form a runner policy takes on its
-#: way into a worker.  Legacy three-element tuples (no backoff) are
-#: still accepted everywhere a policy tuple is.
-PolicyTuple = tuple[float | None, int, int, float, float]
+#: Default seed offset between retry attempts.  A large odd constant so
+#: perturbed seeds never collide with a user's natural seed sweep.
+DEFAULT_RETRY_SEED_STEP = 100_003
 
-_NO_POLICY: PolicyTuple = (None, 0, 0, 0.0, 0.0)
+#: Valid ``on_error`` failure policies.
+ON_ERROR_POLICIES: tuple[str, ...] = ("raise", "skip", "degrade")
+
+
+@dataclass(frozen=True)
+class RunnerConfig:
+    """Robustness policy for one suite run or sweep.
+
+    The same object travels from the CLI through
+    :func:`~repro.experiments.runner.run_experiment` into every sweep an
+    experiment makes (``policy=`` on :func:`run_sweep`), so
+    retry/timeout/backoff, failure policy and journaling are configured
+    exactly once.  Invalid budgets raise
+    :class:`~repro.errors.ConfigurationError` at construction.
+    """
+
+    #: Wall-clock budget per attempt; ``None`` disables the timeout.
+    timeout_s: float | None = None
+    #: Extra attempts after a ``SimulationError`` (0 = never retry).
+    max_retries: int = 1
+    #: Seed offset added per retry attempt.
+    retry_seed_step: int = DEFAULT_RETRY_SEED_STEP
+    #: Base delay of the deterministic jittered exponential backoff
+    #: slept before each retry attempt (0 retries immediately).
+    backoff_base_s: float = 0.1
+    #: Ceiling on one backoff delay.
+    backoff_max_s: float = 2.0
+    #: Sweep failure policy: ``"raise"`` aborts on the first point that
+    #: exhausts its retries, ``"skip"`` substitutes ``None`` for failed
+    #: points, ``"degrade"`` substitutes typed
+    #: :class:`~repro.parallel.supervisor.PointFailure` records; the
+    #: latter two complete the sweep and print a report.
+    on_error: str = "raise"
+    #: Path of the persistent per-point sweep journal (JSONL); ``None``
+    #: disables journaling.
+    journal_path: str | None = None
+    #: Resume from ``journal_path`` + cache: points already recorded
+    #: ``ok`` under the current code version are not re-executed.
+    resume: bool = False
+
+    def __post_init__(self) -> None:
+        if self.timeout_s is not None and not (
+            self.timeout_s > 0 and math.isfinite(self.timeout_s)
+        ):
+            raise ConfigurationError(
+                f"timeout must be a positive number of seconds, "
+                f"got {self.timeout_s!r}"
+            )
+        if self.max_retries < 0:
+            raise ConfigurationError(
+                f"retries must be >= 0, got {self.max_retries!r}"
+            )
+        if self.backoff_base_s < 0 or self.backoff_max_s < 0:
+            raise ConfigurationError(
+                f"backoff delays must be >= 0, got base "
+                f"{self.backoff_base_s!r} and max {self.backoff_max_s!r}"
+            )
+        if self.on_error not in ON_ERROR_POLICIES:
+            raise ConfigurationError(
+                f"on_error must be one of {', '.join(ON_ERROR_POLICIES)}, "
+                f"got {self.on_error!r}"
+            )
+
+
+#: What ``policy=None`` means for a sweep: one attempt, no timeout, no
+#: backoff.
+SINGLE_ATTEMPT = RunnerConfig(max_retries=0, backoff_base_s=0.0, backoff_max_s=0.0)
 
 
 @dataclass(frozen=True)
@@ -86,6 +146,11 @@ def resolve_point_fn(fn: str) -> Callable[..., Any]:
         ) from error
 
 
+def call_point(fn: str, params: Mapping[str, Any]) -> Any:
+    """One call of one point — no retries, no seed perturbation."""
+    return resolve_point_fn(fn)(**dict(params))
+
+
 def backoff_delay_s(
     attempt: int, base_s: float, max_s: float, token: str = ""
 ) -> float:
@@ -105,29 +170,6 @@ def backoff_delay_s(
     digest = hashlib.sha256(f"{token}:{attempt}".encode()).digest()
     unit = int.from_bytes(digest[:8], "big") / 2.0**64
     return raw * (0.5 + 0.5 * unit)
-
-
-def _policy_tuple(policy: Any) -> PolicyTuple:
-    """Flatten a RunnerConfig-shaped object into a picklable tuple."""
-    if policy is None:
-        return _NO_POLICY
-    return (
-        getattr(policy, "timeout_s", None),
-        max(0, getattr(policy, "max_retries", 0)),
-        getattr(policy, "retry_seed_step", 0),
-        max(0.0, getattr(policy, "backoff_base_s", 0.0)),
-        max(0.0, getattr(policy, "backoff_max_s", 0.0)),
-    )
-
-
-def _normalise_policy(policy: Sequence[Any]) -> PolicyTuple:
-    """Widen a legacy 3-tuple policy to the 5-element form."""
-    timeout_s = policy[0]
-    max_retries = max(0, int(policy[1]))
-    seed_step = int(policy[2])
-    base_s = float(policy[3]) if len(policy) > 3 else 0.0
-    max_s = float(policy[4]) if len(policy) > 4 else base_s
-    return (timeout_s, max_retries, seed_step, base_s, max_s)
 
 
 def perturbed_params(
@@ -151,14 +193,36 @@ def perturbed_params(
     return kwargs
 
 
-class _TimedCall:
-    """Run a thunk under an optional wall-clock budget (same semantics
-    as the runner's ``_Attempt``: an expired call is abandoned, not
-    killed — the supervised pool path *kills* overdue workers instead,
-    so prefer ``jobs > 1`` when the leak matters)."""
+def classify_failure(error: BaseException | str) -> tuple[str, bool]:
+    """``(status, retryable)`` of one failed attempt.
 
-    def __init__(self, thunk: Callable[[], Any]):
+    ``error`` is the exception itself (in-process) or its class name as
+    it crossed a worker pipe (pooled; resolved against
+    :mod:`repro.errors`).  Only :class:`~repro.errors.SimulationError`
+    — kernel-level, seed-sensitive failures, timeouts included — is
+    worth a reseeded retry; anything else is deterministic.
+    """
+    if isinstance(error, str):
+        exc_class = getattr(_errors, error, None)
+    else:
+        exc_class = type(error)
+    if not (isinstance(exc_class, type) and issubclass(exc_class, SimulationError)):
+        return "failed", False
+    return ("timeout" if issubclass(exc_class, WatchdogTimeout) else "failed"), True
+
+
+class _TimedCall:
+    """Run a thunk under an optional wall-clock budget.
+
+    An expired call is abandoned, not killed (Python offers no portable
+    way to kill a thread): it keeps burning CPU until it finishes or the
+    process exits.  The supervised pool path *kills* overdue workers
+    instead, so prefer ``jobs > 1`` when the leak matters.
+    """
+
+    def __init__(self, thunk: Callable[[], Any], label: str):
         self._thunk = thunk
+        self._label = label
         self._value: Any = None
         self._error: BaseException | None = None
 
@@ -177,99 +241,74 @@ class _TimedCall:
             worker.join(timeout_s)
             if worker.is_alive():
                 raise WatchdogTimeout(
-                    f"sweep point exceeded its {timeout_s:g}s wall-clock budget"
+                    f"{self._label} exceeded its {timeout_s:g}s wall-clock budget"
                 )
         if self._error is not None:
             raise self._error
         return self._value
 
 
-def run_point_once(
-    fn: str, params: Mapping[str, Any], timeout_s: float | None = None
-) -> Any:
-    """One attempt of one point — no retries, no seed perturbation."""
-    function = resolve_point_fn(fn)
-    return _TimedCall(lambda: function(**dict(params)))(timeout_s)
+@dataclass
+class AttemptOutcome:
+    """What :func:`run_attempts` made of one unit of work."""
+
+    attempts: int
+    value: Any = None
+    #: The last attempt's error; ``None`` on success.
+    error: Exception | None = None
 
 
-def execute_point(
-    fn: str, params: Mapping[str, Any], policy: Sequence[Any] = _NO_POLICY
-) -> Any:
-    """Run one point under the (timeout, backoff, reseeded-retry) policy.
+def run_attempts(
+    call: Callable[[int], Any],
+    policy: RunnerConfig,
+    token: str,
+    cancelled: Callable[[], bool] | None = None,
+    label: str = "sweep point",
+) -> AttemptOutcome | None:
+    """Run ``call(attempt)`` under ``policy``: the one attempt loop.
 
-    Retries — like the hardened runner — only fire on
-    :class:`~repro.errors.SimulationError` (kernel-level failures are
-    the seed-sensitive ones), sleep a deterministic jittered exponential
-    backoff between attempts, and perturb the point's seed by
-    ``retry_seed_step`` per attempt (see :func:`perturbed_params`).
+    Each attempt (0-based index passed to ``call``, which applies its
+    own seed perturbation) runs under ``policy.timeout_s``.  Failures
+    :func:`classify_failure` deems retryable sleep the deterministic
+    backoff for ``token`` and try again, up to ``policy.max_retries``
+    times; any other exception stops at once.  Returns ``None`` when
+    ``cancelled()`` turns true before a retry — the work is unfinished,
+    not failed.  :class:`~repro.errors.SweepInterrupted` and
+    ``KeyboardInterrupt`` propagate: an interrupt is never a failed
+    attempt.  ``label`` names the work in timeout messages.
     """
-    timeout_s, max_retries, seed_step, base_s, max_s = _normalise_policy(policy)
-    last_error: BaseException | None = None
-    for attempt in range(max_retries + 1):
+    outcome = AttemptOutcome(attempts=0)
+    for attempt in range(policy.max_retries + 1):
         if attempt:
-            delay = backoff_delay_s(attempt, base_s, max_s, token=fn)
+            if cancelled is not None and cancelled():
+                return None
+            delay = backoff_delay_s(
+                attempt, policy.backoff_base_s, policy.backoff_max_s, token=token
+            )
             if delay > 0.0:
                 time.sleep(delay)
-        kwargs = perturbed_params(params, attempt, seed_step)
+        outcome.attempts = attempt + 1
         try:
-            return run_point_once(fn, kwargs, timeout_s)
-        except SimulationError as error:
-            last_error = error
-    assert last_error is not None
-    raise last_error
-
-
-#: The serialised form a worker failure takes across the process
-#: boundary: ``(exception type name, message, formatted traceback)``.
-ErrorRecord = tuple[str, str, str]
-
-
-def serialize_error(error: BaseException) -> ErrorRecord:
-    """Flatten an exception into a picklable record for the parent."""
-    return (type(error).__name__, str(error), traceback.format_exc())
-
-
-def worker_error(fn: str, record: ErrorRecord) -> Exception:
-    """Rebuild a worker failure in the parent.
-
-    The original exception type is preserved when it is one of ours
-    (so runner retry/timeout semantics still apply); foreign types
-    degrade to :class:`ExperimentError` carrying the worker traceback.
-    """
-    error_type, message, worker_traceback = record
-    exc_class = getattr(_errors, error_type, None)
-    detail = f"sweep point {fn} failed: {message}"
-    if isinstance(exc_class, type) and issubclass(exc_class, Exception):
-        return exc_class(detail)
-    return ExperimentError(
-        f"{detail}\n--- worker traceback ---\n{worker_traceback}"
-    )
-
-
-def _reraise(fn: str, record: ErrorRecord) -> None:
-    """Raise a worker failure in the parent with its original type."""
-    raise worker_error(fn, record)
-
-
-def _mp_context(start_method: str | None) -> multiprocessing.context.BaseContext:
-    """Fork where available (cheap workers), spawn otherwise.
-
-    The engine itself is spawn-safe — points are picklable descriptions
-    and the worker is a module-level function — so ``start_method`` may
-    force ``"spawn"`` (the tests do) at the cost of per-worker
-    interpreter start-up.
-    """
-    if start_method is None:
-        methods = multiprocessing.get_all_start_methods()
-        start_method = "fork" if "fork" in methods else "spawn"
-    return multiprocessing.get_context(start_method)
+            outcome.value = _TimedCall(partial(call, attempt), label)(
+                policy.timeout_s
+            )
+        except SweepInterrupted:
+            raise
+        except Exception as error:  # noqa: BLE001 - classified below
+            outcome.error = error
+            if not classify_failure(error)[1]:
+                break
+        else:
+            outcome.error = None
+            break
+    return outcome
 
 
 def run_sweep(
     points: Sequence[SweepPoint | tuple[str, Mapping[str, Any]]],
     jobs: int = 1,
     cache: SweepCache | None = None,
-    policy: Any = None,
+    policy: RunnerConfig | None = None,
     start_method: str | None = None,
     journal: SweepJournal | str | None = None,
     on_error: str | None = None,
@@ -295,8 +334,8 @@ def run_sweep(
     non-raising modes print a sweep report to stderr.  ``resume=True``
     (requires a journal) skips points the journal already records as
     ``ok`` under the current code version.  ``journal``/``on_error``/
-    ``resume`` left as ``None`` fall back to the same-named attributes
-    of ``policy``.
+    ``resume`` left as ``None`` fall back to ``policy.journal_path``/
+    ``policy.on_error``/``policy.resume``.
 
     SIGINT/SIGTERM during the sweep trigger a graceful shutdown —
     journal and cache are flushed and :class:`~repro.errors.\
@@ -324,56 +363,3 @@ def run_sweep(
         resume=resume,
     )
     return outcome.results
-
-
-def _pmap_worker(task: tuple[Callable[[Any], Any], Any]) -> tuple[str, Any]:
-    """Top-level (hence spawn-picklable) worker: run one item, never raise.
-
-    Exceptions cross the process boundary as structured records so the
-    parent can re-raise the right type with the worker's traceback.
-    """
-    function, item = task
-    try:
-        return ("ok", function(item))
-    except BaseException as error:  # noqa: BLE001 - serialised for the parent
-        return ("err", serialize_error(error))
-
-
-def pmap(
-    function: Callable[[Any], Any],
-    items: Iterable[Any],
-    jobs: int = 1,
-    start_method: str | None = None,
-) -> list[Any]:
-    """Ordered parallel map for picklable callables (no cache layer).
-
-    The generic escape hatch :func:`repro.experiments.replication`
-    uses: ``function`` must be a module-level (hence picklable)
-    callable when ``jobs > 1``.
-
-    Failure semantics: worker exceptions are serialised back to the
-    parent and re-raised for the **first failing item in item order** —
-    with their original type when it is a :mod:`repro.errors` class, or
-    wrapped in :class:`ExperimentError` carrying the worker's traceback
-    otherwise.  Results of the other items are discarded (``pmap`` has
-    no cache; use :func:`run_sweep` with a cache and ``on_error`` when
-    partial progress must survive a failure).  On the serial path
-    (``jobs=1``) exceptions propagate unwrapped with their original
-    tracebacks.
-    """
-    if jobs < 1:
-        raise ExperimentError(f"jobs must be >= 1, got {jobs}")
-    item_list = list(items)
-    if jobs == 1 or len(item_list) <= 1:
-        return [function(item) for item in item_list]
-    context = _mp_context(start_method)
-    processes = min(jobs, len(item_list))
-    tasks = [(function, item) for item in item_list]
-    with context.Pool(processes=processes) as pool:
-        outcomes = pool.map(_pmap_worker, tasks)
-    results: list[Any] = []
-    for (status, payload), _item in zip(outcomes, item_list):
-        if status != "ok":
-            _reraise(getattr(function, "__name__", repr(function)), payload)
-        results.append(payload)
-    return results

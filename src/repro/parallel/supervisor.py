@@ -1,9 +1,10 @@
 """Supervised sweep executor: crash-safe, journaled, resumable.
 
-The engine's old pool path was all-or-nothing: ``pool.map`` blocked on
-every point, one worker failure propagated after the batch, and a hard
-crash (``os._exit``, OOM kill) could wedge the pool.  The supervisor
-replaces it with per-task dispatch over dedicated pipes:
+The only place sweep work runs under a retry policy or in a worker
+process.  A lone outstanding point runs in-process through the
+engine's attempt loop (:func:`~repro.parallel.engine.run_attempts`);
+otherwise ``min(jobs, points)`` workers take per-task dispatch over
+dedicated pipes:
 
 * each worker owns one duplex pipe; an in-flight task is pinned to its
   worker, so a dead process (pipe EOF) is detected immediately and its
@@ -39,37 +40,33 @@ an uninterrupted run.
 from __future__ import annotations
 
 import heapq
+import multiprocessing
 import signal
 import sys
 import threading
 import time
+import traceback
 from collections import deque
 from dataclasses import dataclass, field
 from multiprocessing.connection import Connection
 from multiprocessing.connection import wait as connection_wait
 from typing import Any, Mapping, Sequence, TextIO
 
-from repro.errors import (
-    ExperimentError,
-    SimulationError,
-    SweepInterrupted,
-    WatchdogTimeout,
-)
-from repro.parallel import engine as _engine
+from repro import errors as _errors
+from repro.errors import ConfigurationError, ExperimentError, SweepInterrupted
 from repro.parallel.cache import SweepCache, code_version_tag, point_key
 from repro.parallel.engine import (
-    ErrorRecord,
+    ON_ERROR_POLICIES,
+    SINGLE_ATTEMPT,
+    RunnerConfig,
     SweepPoint,
     backoff_delay_s,
+    call_point,
+    classify_failure,
     perturbed_params,
-    run_point_once,
-    serialize_error,
-    worker_error,
+    run_attempts,
 )
 from repro.parallel.journal import PointRecord, SweepJournal, load_journal
-
-#: Valid ``on_error`` failure policies.
-ON_ERROR_POLICIES: tuple[str, ...] = ("raise", "skip", "degrade")
 
 #: Upper bound on one ``connection.wait`` nap, so signal flags and
 #: retry ready-times are observed promptly even under quiet workers.
@@ -175,6 +172,52 @@ class _Worker:
         self.deadline: float | None = None
 
 
+#: The serialised form a worker failure takes across the process
+#: boundary: ``(exception type name, message, formatted traceback)``.
+ErrorRecord = tuple[str, str, str]
+
+
+def serialize_error(error: BaseException) -> ErrorRecord:
+    """Flatten an exception into a picklable record for the parent."""
+    return (
+        type(error).__name__,
+        str(error),
+        "".join(
+            traceback.format_exception(type(error), error, error.__traceback__)
+        ),
+    )
+
+
+def worker_error(fn: str, record: ErrorRecord) -> Exception:
+    """Rebuild a worker failure in the parent.
+
+    The original exception type is preserved when it is one of ours
+    (so retry/timeout semantics still apply); foreign types degrade to
+    :class:`ExperimentError` carrying the worker traceback.
+    """
+    error_type, message, worker_traceback = record
+    exc_class = getattr(_errors, error_type, None)
+    detail = f"sweep point {fn} failed: {message}"
+    if isinstance(exc_class, type) and issubclass(exc_class, Exception):
+        return exc_class(detail)
+    return ExperimentError(
+        f"{detail}\n--- worker traceback ---\n{worker_traceback}"
+    )
+
+
+def _mp_context(start_method: str | None) -> multiprocessing.context.BaseContext:
+    """Fork where available (cheap workers), spawn otherwise.
+
+    Workers receive picklable point descriptions and run a module-level
+    loop, so ``start_method`` may force ``"spawn"`` (the tests do) at
+    the cost of per-worker interpreter start-up.
+    """
+    if start_method is None:
+        methods = multiprocessing.get_all_start_methods()
+        start_method = "fork" if "fork" in methods else "spawn"
+    return multiprocessing.get_context(start_method)
+
+
 def _worker_main(connection: Connection) -> None:
     """Worker loop: one attempt per message, outcomes over the pipe.
 
@@ -198,7 +241,7 @@ def _worker_main(connection: Connection) -> None:
             outcome: tuple[int, str, Any] = (
                 index,
                 "ok",
-                run_point_once(fn, params, None),
+                call_point(fn, params),
             )
         except BaseException as error:  # noqa: BLE001 - serialised for parent
             outcome = (index, "err", serialize_error(error))
@@ -224,16 +267,6 @@ def _worker_main(connection: Connection) -> None:
                 return
 
 
-def _retryable(error_type: str) -> bool:
-    """True when a failure type is eligible for a reseeded retry."""
-    import repro.errors as errors_module
-
-    exc_class = getattr(errors_module, error_type, None)
-    return isinstance(exc_class, type) and issubclass(
-        exc_class, SimulationError
-    )
-
-
 class _Supervision:
     """State machine for one supervised sweep (serial or pooled)."""
 
@@ -242,7 +275,7 @@ class _Supervision:
         points: Sequence[SweepPoint],
         jobs: int,
         cache: SweepCache | None,
-        policy: Any,
+        policy: RunnerConfig,
         start_method: str | None,
         journal: SweepJournal | None,
         on_error: str,
@@ -257,13 +290,7 @@ class _Supervision:
         self.on_error = on_error
         self.resume = resume
         self.report_stream = report_stream
-        (
-            self.timeout_s,
-            self.max_retries,
-            self.seed_step,
-            self.backoff_base_s,
-            self.backoff_max_s,
-        ) = _engine._normalise_policy(_engine._policy_tuple(policy))
+        self.policy = policy
         self.version = (
             cache.version_tag if cache is not None else code_version_tag()
         )
@@ -422,55 +449,34 @@ class _Supervision:
 
     def _run_serial_task(self, task: _Task) -> None:
         task.started = time.monotonic()
-        last_record: ErrorRecord | None = None
-        last_error: BaseException | None = None
-        last_status = "failed"
-        attempts = 0
-        for attempt in range(self.max_retries + 1):
-            if attempt:
-                if self._interrupted:
-                    return  # unfinished: no record, resume re-runs it
-                delay = backoff_delay_s(
-                    attempt,
-                    self.backoff_base_s,
-                    self.backoff_max_s,
-                    token=task.key,
-                )
-                if delay > 0.0:
-                    time.sleep(delay)
-                self.report.retried += 1
-            params = perturbed_params(
-                task.point.params, attempt, self.seed_step
+        fn, params = task.point.fn, task.point.params
+        try:
+            outcome = run_attempts(
+                lambda attempt: call_point(
+                    fn,
+                    perturbed_params(
+                        params, attempt, self.policy.retry_seed_step
+                    ),
+                ),
+                self.policy,
+                token=task.key,
+                cancelled=lambda: self._interrupted,
             )
-            attempts = attempt + 1
-            try:
-                value = run_point_once(task.point.fn, params, self.timeout_s)
-            except KeyboardInterrupt:
-                self._interrupted = True
-                return
-            except WatchdogTimeout as error:
-                last_record = serialize_error(error)
-                last_error = error
-                last_status = "timeout"
-                continue
-            except SimulationError as error:
-                last_record = serialize_error(error)
-                last_error = error
-                last_status = "failed"
-                continue
-            except Exception as error:  # noqa: BLE001 - isolation boundary
-                self._complete_failure(
-                    task, "failed", serialize_error(error), attempts
-                )
-                if self.on_error == "raise":
-                    self._raise_error = error  # original object, serially
-                return
-            self._complete_ok(task, value, attempts)
+        except KeyboardInterrupt:
+            self._interrupted = True
             return
-        assert last_record is not None
-        self._complete_failure(task, last_status, last_record, attempts)
-        if self.on_error == "raise" and last_error is not None:
-            self._raise_error = last_error
+        if outcome is None:
+            return  # unfinished: no record, resume re-runs it
+        self.report.retried += outcome.attempts - 1
+        if outcome.error is None:
+            self._complete_ok(task, outcome.value, outcome.attempts)
+            return
+        status, _ = classify_failure(outcome.error)
+        self._complete_failure(
+            task, status, serialize_error(outcome.error), outcome.attempts
+        )
+        if self.on_error == "raise":
+            self._raise_error = outcome.error  # original object, serially
 
     # -- pooled executor ---------------------------------------------------
 
@@ -509,7 +515,7 @@ class _Supervision:
         if task.started is None:
             task.started = time.monotonic()
         params = perturbed_params(
-            task.point.params, task.attempt, self.seed_step
+            task.point.params, task.attempt, self.policy.retry_seed_step
         )
         try:
             worker.connection.send((task.index, task.point.fn, params))
@@ -520,10 +526,9 @@ class _Supervision:
             queue.appendleft(task)
             return
         worker.task = task
+        timeout_s = self.policy.timeout_s
         worker.deadline = (
-            time.monotonic() + self.timeout_s
-            if self.timeout_s is not None
-            else None
+            time.monotonic() + timeout_s if timeout_s is not None else None
         )
         busy[worker.connection] = worker
 
@@ -535,13 +540,17 @@ class _Supervision:
         retryable: bool,
         retries: list[tuple[float, int, _Task]],
     ) -> None:
-        if retryable and task.attempt < self.max_retries and not self._abort:
+        if (
+            retryable
+            and task.attempt < self.policy.max_retries
+            and not self._abort
+        ):
             task.attempt += 1
             self.report.retried += 1
             delay = backoff_delay_s(
                 task.attempt,
-                self.backoff_base_s,
-                self.backoff_max_s,
+                self.policy.backoff_base_s,
+                self.policy.backoff_max_s,
                 token=task.key,
             )
             self._retry_sequence += 1
@@ -590,14 +599,9 @@ class _Supervision:
         if status == "ok":
             self._complete_ok(task, payload, attempts=task.attempt + 1)
             return
-        error_type = payload[0]
-        failure_status = "timeout" if error_type == "WatchdogTimeout" else "failed"
+        failure_status, retryable = classify_failure(payload[0])
         self._after_attempt_failure(
-            task,
-            failure_status,
-            payload,
-            retryable=_retryable(error_type),
-            retries=retries,
+            task, failure_status, payload, retryable=retryable, retries=retries
         )
 
     def _enforce_deadlines(
@@ -619,7 +623,7 @@ class _Supervision:
                 idle.append(self._spawn_worker(context))
             record: ErrorRecord = (
                 "WatchdogTimeout",
-                f"sweep point exceeded its {self.timeout_s:g}s wall-clock "
+                f"sweep point exceeded its {self.policy.timeout_s:g}s wall-clock "
                 "budget; worker killed",
                 "",
             )
@@ -642,7 +646,7 @@ class _Supervision:
         return max(0.01, timeout)
 
     def _run_pooled(self, tasks: Sequence[_Task]) -> None:
-        context = _engine._mp_context(self.start_method)
+        context = _mp_context(self.start_method)
         queue: deque[_Task] = deque(tasks)
         retries: list[tuple[float, int, _Task]] = []
         workers = min(self.jobs, len(tasks))
@@ -725,8 +729,8 @@ class _Supervision:
                 to_run=len(tasks),
                 version_tag=self.version,
                 policy={
-                    "timeout_s": self.timeout_s,
-                    "max_retries": self.max_retries,
+                    "timeout_s": self.policy.timeout_s,
+                    "max_retries": self.policy.max_retries,
                     "on_error": self.on_error,
                 },
             )
@@ -770,7 +774,7 @@ def supervise_sweep(
     points: Sequence[SweepPoint],
     jobs: int = 1,
     cache: SweepCache | None = None,
-    policy: Any = None,
+    policy: RunnerConfig | None = None,
     start_method: str | None = None,
     journal: SweepJournal | str | None = None,
     on_error: str | None = None,
@@ -779,23 +783,30 @@ def supervise_sweep(
 ) -> SweepOutcome:
     """Run a sweep under supervision; the engine's ``run_sweep`` wraps this.
 
+    ``policy=None`` means one attempt, no timeout and no backoff.
     ``journal`` / ``on_error`` / ``resume`` left as ``None`` fall back
-    to the ``journal_path`` / ``on_error`` / ``resume`` attributes of
-    ``policy`` (the :class:`~repro.experiments.runner.RunnerConfig`
-    shape), so one policy object travels from the CLI into every sweep
-    an experiment makes.  ``report_stream`` defaults to ``sys.stderr``;
-    pass a file-like object to capture the degraded-sweep report, or
-    rely on the returned :class:`SweepOutcome`'s report.
+    to ``policy.journal_path`` / ``policy.on_error`` /
+    ``policy.resume``, so one :class:`~repro.parallel.engine.RunnerConfig`
+    travels from the CLI into every sweep an experiment makes.
+    ``report_stream`` defaults to ``sys.stderr``; pass a file-like
+    object to capture the degraded-sweep report, or rely on the
+    returned :class:`SweepOutcome`'s report.
     """
+    if policy is None:
+        policy = SINGLE_ATTEMPT
+    elif not isinstance(policy, RunnerConfig):
+        raise ConfigurationError(
+            f"policy must be a RunnerConfig, got {type(policy).__name__}"
+        )
     if on_error is None:
-        on_error = getattr(policy, "on_error", None) or "raise"
+        on_error = policy.on_error
     if on_error not in ON_ERROR_POLICIES:
         raise ExperimentError(
             f"on_error must be one of {', '.join(ON_ERROR_POLICIES)}, "
             f"got {on_error!r}"
         )
     if journal is None:
-        journal_path = getattr(policy, "journal_path", None)
+        journal_path = policy.journal_path
         journal = SweepJournal(journal_path) if journal_path else None
         owns_journal = journal is not None
     elif isinstance(journal, SweepJournal):
@@ -804,7 +815,7 @@ def supervise_sweep(
         journal = SweepJournal(journal)
         owns_journal = True
     if resume is None:
-        resume = bool(getattr(policy, "resume", False))
+        resume = policy.resume
     if resume and journal is None:
         raise ExperimentError(
             "resume needs a journal: pass journal=/--journal with the "

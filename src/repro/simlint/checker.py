@@ -243,11 +243,29 @@ def _relpath_for(path: Path, root: Path | None) -> str:
     return relpath.replace("\\", "/")
 
 
-def _lint_file_payload(payload: tuple[str, str | None]) -> FileResult:
-    """Module-level pool worker: lint one file with the default rules."""
-    path_text, root_text = payload
-    root = Path(root_text) if root_text is not None else None
-    return Checker().check_file(Path(path_text), root=root)
+#: Dotted path of the sweep point that lints one file in a worker.
+_LINT_POINT_FN = "repro.simlint.checker:_lint_file_payload"
+
+
+def _lint_file_payload(path: str, root: str | None) -> FileResult:
+    """Sweep point: lint one file with the default rules."""
+    return Checker().check_file(
+        Path(path), root=Path(root) if root is not None else None
+    )
+
+
+def _lint_in_workers(
+    files: Sequence[Path], root: Path | None, jobs: int
+) -> list[FileResult]:
+    """Lint ``files`` across ``jobs`` supervised workers, in file order."""
+    from repro.parallel import SweepPoint, run_sweep
+
+    root_text = str(root) if root is not None else None
+    points = [
+        SweepPoint(_LINT_POINT_FN, {"path": str(path), "root": root_text})
+        for path in files
+    ]
+    return run_sweep(points, jobs=jobs)
 
 
 class Checker:
@@ -357,8 +375,8 @@ class Checker:
     ) -> list[Finding]:
         """Findings for every ``*.py`` file under ``paths``.
 
-        The per-file pass fans out over ``jobs`` processes (via
-        :func:`repro.parallel.pmap`) and consults ``cache`` (content-hash
+        The per-file pass fans out over ``jobs`` supervised worker
+        processes (via :func:`repro.parallel.run_sweep`) and consults ``cache`` (content-hash
         keyed, see :mod:`repro.simlint.cache`) when given; both shortcuts
         require the default rule set, since workers and cache entries
         re-create it by name.  The project pass then joins every file
@@ -387,13 +405,7 @@ class Checker:
             )
         if cache is None:
             if jobs > 1:
-                from repro.parallel import pmap
-
-                payloads = [
-                    (str(path), str(root) if root is not None else None)
-                    for path in files
-                ]
-                return list(pmap(_lint_file_payload, payloads, jobs=jobs))
+                return _lint_in_workers(files, root, jobs)
             return [self.check_file(path, root=root) for path in files]
 
         results: dict[int, FileResult] = {}
@@ -412,13 +424,7 @@ class Checker:
                 misses.append((index, path, content_hash))
         if misses:
             if jobs > 1 and len(misses) > 1:
-                from repro.parallel import pmap
-
-                payloads = [
-                    (str(path), str(root) if root is not None else None)
-                    for _, path, _ in misses
-                ]
-                fresh = list(pmap(_lint_file_payload, payloads, jobs=jobs))
+                fresh = _lint_in_workers([path for _, path, _ in misses], root, jobs)
             else:
                 fresh = [
                     self.check_file(path, root=root) for _, path, _ in misses

@@ -8,9 +8,10 @@ across processes (pool path).  Both break on the same two shapes:
   the process*, so two live simulations contaminate each other.  This
   is exactly PR 2's ``Signal._ids`` bug: a class-level id counter made
   signal ids depend on how many mediums had ever lived in the worker.
-* **SL402** — a ``lambda`` or nested function handed to ``run_sweep`` /
-  ``pmap`` cannot be pickled to a spawn worker; sweep work must be a
-  module-level function (the engine's dotted-path convention).
+* **SL402** — a ``lambda`` or nested function handed to ``run_sweep``
+  or ``SweepPoint`` (the only ways work reaches a worker) cannot be
+  named by a dotted path, so no worker can import it; sweep work must
+  be a module-level function (the engine's dotted-path convention).
 """
 
 from __future__ import annotations
@@ -31,8 +32,8 @@ _CLASS_LEVEL_SAFE_CALLS = frozenset(
     {"field", "property", "staticmethod", "classmethod", "frozenset", "tuple"}
 )
 
-#: Sweep entry points whose arguments must be picklable.
-_SWEEP_ENTRY_POINTS = frozenset({"run_sweep", "pmap"})
+#: Sweep entry points whose arguments must be importable by a worker.
+_SWEEP_ENTRY_POINTS = frozenset({"run_sweep", "SweepPoint"})
 
 
 def _is_enum_class(node: ast.ClassDef) -> bool:
@@ -137,8 +138,8 @@ class UnpicklableSweepArgumentRule:
 
     rule_id = "SL402"
     summary = (
-        "lambda or nested function passed to run_sweep/pmap cannot be "
-        "pickled to a spawn worker"
+        "lambda or nested function passed to run_sweep/SweepPoint cannot "
+        "be imported by a sweep worker"
     )
 
     def check(self, module: ParsedModule) -> Iterator[Finding]:
@@ -163,9 +164,9 @@ class UnpicklableSweepArgumentRule:
                     line=argument.lineno,
                     col=argument.col_offset,
                     message=(
-                        f"{detail} passed to {name}() cannot be pickled "
-                        "under the spawn start method; use a module-level "
-                        "function (dotted-path SweepPoint convention)"
+                        f"{detail} passed to {name}() cannot be imported "
+                        "by a sweep worker; use a module-level function "
+                        "named by its dotted path (SweepPoint convention)"
                     ),
                 )
 

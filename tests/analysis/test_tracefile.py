@@ -46,7 +46,7 @@ class TestTraceWriter:
     def test_real_simulation_trace(self, tmp_path):
         from repro.apps.cbr import CbrSource
         from repro.apps.sink import UdpSink
-        from repro.experiments.common import build_network
+        from repro.scenario import build_network
         from repro.core.params import Rate
 
         net = build_network([0, 10], data_rate=Rate.MBPS_11, fast_sigma_db=0.0)

@@ -6,7 +6,7 @@ from repro.apps.bulk import BulkTcpReceiver, BulkTcpSender
 from repro.apps.cbr import CbrSource
 from repro.apps.sink import UdpSink
 from repro.errors import ConfigurationError
-from repro.experiments.common import build_network
+from repro.scenario import build_network
 
 
 class TestCbrSource:

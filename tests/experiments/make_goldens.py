@@ -75,7 +75,7 @@ def scenario_digests() -> dict:
     from repro.channel.mobility import walk_away
     from repro.channel.propagation import TwoRayGroundPathLoss
     from repro.core.params import Dot11bConfig, MacParameters, Rate
-    from repro.experiments.common import build_network
+    from repro.scenario import build_network
     from repro.faults import FaultSchedule, NodeCrash, link_blackout
     from repro.phy.radio import RadioParameters
 

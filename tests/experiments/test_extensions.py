@@ -72,7 +72,7 @@ class TestReplication:
         """Replicating a real (tiny) simulation yields a tight CI."""
         from repro.apps.cbr import CbrSource
         from repro.apps.sink import UdpSink
-        from repro.experiments.common import build_network
+        from repro.scenario import build_network
 
         def throughput(seed: int) -> float:
             net = build_network([0, 10], data_rate=Rate.MBPS_11, seed=seed)

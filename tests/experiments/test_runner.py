@@ -11,6 +11,7 @@ from repro.experiments.runner import (
     run_experiment,
     run_suite,
 )
+from repro.parallel import PointFailure, SweepPoint, run_sweep
 
 
 def make_registry(**runners):
@@ -146,6 +147,35 @@ class TestRetries:
             experiments=make_registry(x=kernel_crash_run),
         )
         assert slept == []
+
+
+class TestSharedPolicy:
+    """An experiment and a sweep point retry under one attempt loop."""
+
+    FLAKY = "tests.parallel.point_functions:flaky_point"
+    FAILS = "tests.parallel.point_functions:always_fails_point"
+
+    def attempts_of_both(self, run, point_fn):
+        config = RunnerConfig(
+            max_retries=2, retry_seed_step=1, backoff_base_s=0.0
+        )
+        result = run_experiment(
+            "x", config=config, experiments=make_registry(x=run)
+        )
+        (failure,) = run_sweep(
+            [SweepPoint(point_fn, {"seed": 1})],
+            policy=config,
+            on_error="degrade",
+        )
+        assert isinstance(failure, PointFailure)
+        assert result.error_type == failure.error_type
+        return result.attempts, failure.attempts
+
+    def test_simulation_error_retried_equally(self, capsys):
+        assert self.attempts_of_both(kernel_crash_run, self.FLAKY) == (3, 3)
+
+    def test_value_error_stops_at_once_in_both(self, capsys):
+        assert self.attempts_of_both(crash_run, self.FAILS) == (1, 1)
 
 
 class TestTimeout:

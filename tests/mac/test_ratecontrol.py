@@ -111,7 +111,7 @@ class TestArfIntegration:
     def test_arf_climbs_to_11_mbps_on_a_clean_short_link(self):
         from repro.apps.cbr import CbrSource
         from repro.apps.sink import UdpSink
-        from repro.experiments.common import build_network
+        from repro.scenario import build_network
         from repro.mac.ratecontrol import ArfConfig
 
         net = build_network(
@@ -127,7 +127,7 @@ class TestArfIntegration:
     def test_arf_settles_low_on_a_long_link(self):
         from repro.apps.cbr import CbrSource
         from repro.apps.sink import UdpSink
-        from repro.experiments.common import build_network
+        from repro.scenario import build_network
         from repro.mac.ratecontrol import ArfConfig
 
         # 100 m: only 1 Mbps (113 m) survives; 2 Mbps (94 m) fails.

@@ -6,7 +6,7 @@ from repro.apps.cbr import CbrSource
 from repro.apps.sink import UdpSink
 from repro.core.params import Rate
 from repro.errors import MacError
-from repro.experiments.common import build_network
+from repro.scenario import build_network
 
 
 def busy_network(seed=1):

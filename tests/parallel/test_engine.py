@@ -2,15 +2,14 @@
 
 import pytest
 
-from repro.errors import ExperimentError, SimulationError, WatchdogTimeout
-from repro.experiments.runner import RunnerConfig
-from repro.parallel import (
-    SweepPoint,
-    backoff_delay_s,
-    execute_point,
-    pmap,
-    run_sweep,
+from repro.errors import (
+    ConfigurationError,
+    ExperimentError,
+    SimulationError,
+    WatchdogTimeout,
 )
+from repro.experiments.runner import RunnerConfig
+from repro.parallel import SweepPoint, backoff_delay_s, run_sweep
 from repro.parallel.engine import resolve_point_fn
 
 SQUARE = "tests.parallel.point_functions:square_point"
@@ -77,13 +76,36 @@ class TestPolicy:
     def test_timeout_raises_watchdog(self):
         policy = RunnerConfig(timeout_s=0.05, max_retries=0)
         with pytest.raises(WatchdogTimeout, match="wall-clock budget"):
-            execute_point(SLOW, {"seed": 1}, (0.05, 0, 0))
-        with pytest.raises(WatchdogTimeout):
             run_sweep([SweepPoint(SLOW, {"seed": 1})], policy=policy)
 
     def test_no_policy_runs_once(self):
         with pytest.raises(SimulationError):
             run_sweep([SweepPoint(FLAKY, {"seed": 1})])
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"timeout_s": 0},
+            {"timeout_s": -1.0},
+            {"timeout_s": float("nan")},
+            {"max_retries": -1},
+            {"backoff_base_s": -0.1},
+            {"backoff_max_s": -1.0},
+            {"on_error": "explode"},
+        ],
+    )
+    def test_invalid_policy_rejected(self, kwargs):
+        with pytest.raises(ConfigurationError):
+            RunnerConfig(**kwargs)
+
+    def test_runner_policy_is_the_sweep_policy(self):
+        import repro.parallel
+
+        assert RunnerConfig is repro.parallel.RunnerConfig
+
+    def test_untyped_policy_rejected(self):
+        with pytest.raises(ConfigurationError, match="RunnerConfig"):
+            run_sweep([SweepPoint(SQUARE, {"value": 1})], policy=(None, 0, 0))
 
 
 class TestParallel:
@@ -119,51 +141,18 @@ class TestParallel:
             run_sweep(points, jobs=2)
 
     def test_worker_failure_with_foreign_type_degrades(self):
-        with pytest.raises(ExperimentError, match="deterministic bug"):
+        with pytest.raises(ExperimentError, match="deterministic bug") as info:
             run_sweep(
                 [SweepPoint(FAILS, {"seed": 1}), SweepPoint(FAILS, {"seed": 2})],
                 jobs=2,
             )
+        assert "worker traceback" in str(info.value)
+        assert "always_fails_point" in str(info.value)
 
     def test_single_miss_avoids_the_pool(self):
         # One point never pays pool start-up, whatever ``jobs`` says.
         (value,) = run_sweep([SweepPoint(SQUARE, {"value": 7})], jobs=8)
         assert value == 49
-
-
-class TestPmap:
-    def test_serial_map(self):
-        assert pmap(len, ["a", "bb", "ccc"]) == [1, 2, 3]
-
-    def test_parallel_map_preserves_order(self):
-        from tests.parallel.point_functions import square_point
-
-        items = list(range(8))
-        assert pmap(square_point, items, jobs=2) == [v * v for v in items]
-
-    def test_jobs_validated(self):
-        with pytest.raises(ExperimentError):
-            pmap(len, [], jobs=-1)
-
-    def test_worker_error_keeps_repro_type(self):
-        from tests.parallel.point_functions import flaky_point
-
-        with pytest.raises(SimulationError, match="livelocked"):
-            pmap(flaky_point, [1, 200], jobs=2)
-
-    def test_foreign_worker_error_carries_worker_traceback(self):
-        from tests.parallel.point_functions import always_fails_point
-
-        with pytest.raises(ExperimentError, match="deterministic bug") as info:
-            pmap(always_fails_point, [1, 2], jobs=2)
-        assert "worker traceback" in str(info.value)
-        assert "always_fails_point" in str(info.value)
-
-    def test_serial_errors_stay_unwrapped(self):
-        from tests.parallel.point_functions import always_fails_point
-
-        with pytest.raises(ValueError, match="deterministic bug"):
-            pmap(always_fails_point, [1])
 
 
 class TestBackoff:

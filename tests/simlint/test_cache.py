@@ -1,16 +1,21 @@
 """The per-file result cache and the multi-process lint path."""
 
+import multiprocessing
+import os
+import signal
 import textwrap
+import time
 
 import pytest
 
+from repro.errors import ExperimentError
 from repro.simlint.cache import (
     LintCache,
     result_from_json,
     result_to_json,
     rules_version_tag,
 )
-from repro.simlint.checker import Checker, FileResult, Finding
+from repro.simlint.checker import Checker, FileResult, Finding, _lint_file_payload
 
 TRIGGER = """\
     import random
@@ -27,6 +32,13 @@ CLEAN = """\
 def write_tree(root, files):
     for name, source in files.items():
         (root / name).write_text(textwrap.dedent(source), encoding="utf-8")
+
+
+def crash_on_one_file(*args, **kwargs):
+    """Lint worker that hard-crashes (no cleanup) on ``crash_me.py``."""
+    if "crash_me.py" in repr((args, kwargs)):
+        os._exit(1)
+    return _lint_file_payload(*args, **kwargs)
 
 
 class TestRoundTrip:
@@ -130,6 +142,39 @@ class TestParallelLint:
         checker = Checker(rules=[ModuleGlobalRandomRule()])
         with pytest.raises(ValueError):
             checker.check_paths([tmp_path], root=tmp_path, jobs=2)
+
+    @pytest.mark.skipif(
+        "fork" not in multiprocessing.get_all_start_methods(),
+        reason="the patched worker reaches the pool only through fork",
+    )
+    def test_crashed_worker_raises_instead_of_hanging(
+        self, tmp_path, monkeypatch
+    ):
+        import repro.simlint.checker as checker_module
+
+        write_tree(
+            tmp_path,
+            {"clean.py": CLEAN, "crash_me.py": CLEAN, "other.py": CLEAN},
+        )
+        monkeypatch.setattr(
+            checker_module, "_lint_file_payload", crash_on_one_file
+        )
+
+        def hung(signum, frame):
+            raise AssertionError("parallel lint hung on a dead worker")
+
+        # A wall-clock bound, so a hang fails the test instead of
+        # stalling the suite.
+        previous = signal.signal(signal.SIGALRM, hung)
+        signal.alarm(30)
+        started = time.monotonic()
+        try:
+            with pytest.raises(ExperimentError, match="worker died"):
+                Checker().check_paths([tmp_path], root=tmp_path, jobs=2)
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        assert time.monotonic() - started < 10.0
 
 
 class TestParseErrorPaths:

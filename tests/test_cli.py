@@ -149,6 +149,24 @@ class TestRobustnessFlags:
     def test_max_retries_alias_accepted(self, capsys):
         assert main(["table2", "--max-retries", "0"]) == 0
 
+    @pytest.mark.parametrize(
+        "flags", [["--timeout", "0"], ["--retries", "-1"]], ids=["timeout", "retries"]
+    )
+    def test_invalid_budget_exits_2_without_running(
+        self, capsys, monkeypatch, flags
+    ):
+        import repro.cli as cli_module
+
+        def must_not_run(*args, **kwargs):
+            raise AssertionError("an experiment ran despite a bad budget")
+
+        monkeypatch.setattr(cli_module, "run_suite", must_not_run)
+        assert main(["figure1", *flags]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.strip().splitlines()
+        assert line.startswith("error: ")
+
 
 class TestProfileCommand:
     def test_profile_without_target_exits_2(self, capsys):

@@ -5,7 +5,7 @@ import pytest
 from repro.apps.cbr import CbrSource
 from repro.apps.sink import UdpSink
 from repro.core.params import Rate
-from repro.experiments.common import build_network
+from repro.scenario import build_network
 from repro.sim.engine import Simulator
 
 

@@ -1,7 +1,7 @@
 """TCP behaviour across a node crash: RTO give-up or fresh-connection recovery."""
 
 from repro.apps.bulk import BulkTcpReceiver, BulkTcpSender
-from repro.experiments.common import build_network
+from repro.scenario import build_network
 from repro.faults import FaultSchedule, NodeCrash
 from repro.transport.tcp.connection import TcpConfig
 

@@ -4,7 +4,7 @@
 from repro.apps.bulk import BulkTcpReceiver, BulkTcpSender
 from repro.core.params import Rate
 from repro.core.throughput_model import ThroughputModel
-from repro.experiments.common import build_network
+from repro.scenario import build_network
 from repro.transport.tcp.connection import TcpConfig, TcpState
 
 
