@@ -173,18 +173,7 @@ def measure(figure: str, runs: int, extra_env: dict[str, str] | None = None) -> 
         "events": events,
         "events_per_s": round(events / median_wall) if median_wall > 0 else 0,
         "peak_rss_kb": max(sample["peak_rss_kb"] for sample in samples),
-        "kernel": _kernel_name(),
     }
-
-
-def _kernel_name() -> str:
-    sys.path.insert(0, str(REPO_ROOT / "src"))
-    try:
-        from repro.phy.kernel import resolve_kernel
-
-        return resolve_kernel()
-    finally:
-        sys.path.pop(0)
 
 
 # ---------------------------------------------------------------------------

@@ -83,10 +83,10 @@ def resolve_medium(preference: str | None = None) -> str:
     """Pick the medium mode: explicit preference, else environment.
 
     ``preference`` (e.g. from a scenario spec) wins over the
-    ``REPRO_MEDIUM`` environment variable.  Unlike the reception-kernel
-    knob, ``auto`` resolves to itself: the profitable choice depends on
-    the attached device count, which the medium only knows at transmit
-    time (see :data:`AUTO_SPATIAL_CUTOFF`).  An explicit unknown name is
+    ``REPRO_MEDIUM`` environment variable.  ``auto`` resolves to
+    itself: the profitable choice depends on the attached device count,
+    which the medium only knows at transmit time (see
+    :data:`AUTO_SPATIAL_CUTOFF`).  An explicit unknown name is
     a configuration error, never a silent fallback.
     """
     name = preference if preference is not None else os.environ.get(MEDIUM_ENV, "auto")

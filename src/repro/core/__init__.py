@@ -30,7 +30,6 @@ from repro.core.encapsulation import (
     mac_payload_bytes,
 )
 from repro.core.airtime import AirtimeCalculator
-from repro.core.bianchi import BianchiResult, saturation_throughput_bps, solve_fixed_point
 from repro.core.throughput_model import (
     ChannelOccupancy,
     RtsCtsOverheadModel,
@@ -44,9 +43,6 @@ from repro.core.range_model import (
 
 __all__ = [
     "AirtimeCalculator",
-    "BianchiResult",
-    "saturation_throughput_bps",
-    "solve_fixed_point",
     "ChannelOccupancy",
     "DEFAULT_MAC_PARAMETERS",
     "Dot11bConfig",

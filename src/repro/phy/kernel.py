@@ -1,97 +1,50 @@
-"""Batched reception math: the fast kernel behind the reception models.
+"""The reception kernel: the SINR-threshold verdict in one pass per field.
 
-The reference implementations in :mod:`repro.phy.reception` walk every
-(frame field x interference interval) pair in Python and call
-``linear_to_db`` — a transcendental — per pair.  This module restructures
-that walk around one observation: for the threshold model a segment
+The paper's reception rule is per field of the frame: received power at
+or above the field rate's sensitivity, and worst-case SINR at or above
+the rate's threshold.  Walking every (field x interference interval)
+pair and converting each SINR to dB costs one transcendental per pair.
+This kernel restructures that walk around one observation: a field
 fails iff its *worst* (minimum-SINR) interval fails, and SINR is
-monotone decreasing in interference power.  The kernel therefore reduces
-each segment to its maximum interference power — a pure max, no
-transcendental — and makes exactly one ``linear_to_db`` call per
-segment, with bit-identical arguments to the call the reference would
-have made on that worst interval.  The verdict is identical by
-monotonicity; the floating-point path to it is identical by
-construction.
+monotone decreasing in interference power.  Each field therefore
+reduces to its maximum interference power — a pure max, no
+transcendental — and makes exactly one ``log10`` call, with the same
+argument the per-pair walk would have used on that worst interval.  The
+verdict is identical by monotonicity; the floating-point path to it is
+identical by construction.  ``tests/phy/test_kernel.py`` keeps the
+per-pair walk as the oracle.
 
-Interference timelines come from the transceiver with nondecreasing
-offsets.  Long timelines (dense interferer neighbourhoods) are reduced
-with numpy in one vectorized pass (``searchsorted`` + sliced ``max``
-per segment); short ones — the common case — use a scalar fast path,
-since numpy's per-call overhead exceeds the work below roughly a dozen
-entries.  A timeline that is *not* sorted (only hand-built contexts can
-produce one) falls back to the scalar path, which handles arbitrary
-timelines exactly like the reference.
-
-Kernel selection: ``resolve_kernel()`` reads the ``REPRO_KERNEL``
-environment variable (``python`` | ``numpy`` | ``auto``); scenario specs
-can pin a choice per run via ``StackSpec.kernel``.  ``python`` is the
-reference implementation, kept verbatim as the fallback; ``numpy`` is
-this module.  The golden digests are the arbiter that both agree.
+The timelines the transceiver records are short — about ten entries at
+most, even on 250-station fields — so the reduction is a scalar loop.
+It accepts any timeline, sorted or not, with repeated offsets.
 """
 
 from __future__ import annotations
 
-import os
 from typing import TYPE_CHECKING
 
 from math import log10 as _log10
 
-from repro.errors import ConfigurationError
 from repro.units import dbm_to_mw
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.phy.radio import RadioParameters
     from repro.phy.reception import ReceptionContext
 
-try:
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy is in the standard image
-    _np = None  # type: ignore[assignment]
-
-#: Environment variable selecting the reception kernel.
-KERNEL_ENV = "REPRO_KERNEL"
-
-#: Kernel names accepted by :func:`resolve_kernel` (besides ``auto``).
-KERNELS = ("python", "numpy")
-
-#: Timeline length at which the numpy reduction overtakes the scalar
-#: loop.  Below this the kernel stays scalar — same arithmetic, no
-#: array-construction overhead.
-VECTOR_CUTOFF = 12
-
-
-def numpy_available() -> bool:
-    """True when the numpy backend can actually run."""
-    return _np is not None
-
 
 def resolve_kernel(preference: str | None = None) -> str:
-    """Pick the reception kernel: explicit preference, else environment.
+    """Name of the reception kernel: always ``"scalar"``.
 
-    ``preference`` (e.g. from a scenario spec) wins over the
-    ``REPRO_KERNEL`` environment variable; ``auto`` (the default when
-    neither is set) selects ``numpy`` when importable, else ``python``.
-    An *explicit* request for ``numpy`` without numpy installed is a
-    configuration error, not a silent fallback.
+    There is one kernel, so nothing is resolved: ``preference`` and the
+    environment are ignored.  The function stays because run manifests
+    (``perfbench``) record its answer next to the medium mode, and
+    scenario specs may still carry a ``stack.kernel`` value for it.
     """
-    name = preference if preference is not None else os.environ.get(KERNEL_ENV, "auto")
-    name = name.strip().lower() or "auto"
-    if name == "auto":
-        return "numpy" if numpy_available() else "python"
-    if name not in KERNELS:
-        raise ConfigurationError(
-            f"unknown reception kernel {name!r}; expected one of "
-            f"{', '.join(KERNELS)} or auto"
-        )
-    if name == "numpy" and not numpy_available():
-        raise ConfigurationError(
-            "reception kernel 'numpy' requested but numpy is not importable"
-        )
-    return name
+    return "scalar"
 
 
 class SinrKernel:
-    """Fast path for :class:`~repro.phy.reception.SinrThresholdReception`.
+    """The verdict of :class:`~repro.phy.reception.SinrThresholdReception`.
 
     Holds per-plan tables — segment offsets joined with the radio's
     per-rate sensitivity and SINR threshold — so the per-frame work is
@@ -129,7 +82,7 @@ class SinrKernel:
         return rows
 
     def evaluate(self, context: "ReceptionContext", radio: "RadioParameters"):
-        """Threshold-model verdict, bit-identical to the reference."""
+        """Threshold-model verdict for one locked frame."""
         from repro.phy.reception import ReceptionOutcome
 
         rx_dbm = context.rx_power_dbm
@@ -155,42 +108,6 @@ class SinrKernel:
                 if 10.0 * _log10(sinr) < threshold:
                     return ReceptionOutcome.SINR_FAILURE
             return ReceptionOutcome.OK
-
-        if _np is not None and n >= VECTOR_CUTOFF:
-            offs = _np.empty(n, dtype=_np.int64)
-            mws = _np.empty(n, dtype=_np.float64)
-            for i, (off, mw) in enumerate(timeline):
-                offs[i] = off
-                mws[i] = mw
-            if bool((offs[1:] >= offs[:-1]).all()):
-                # Keep-last dedupe: an entry sharing its offset with its
-                # successor spans zero time — the reference's lo < hi
-                # check drops exactly those, so dropping them here keeps
-                # the per-segment max over the same interval set.
-                keep = _np.empty(n, dtype=bool)
-                keep[:-1] = offs[1:] > offs[:-1]
-                keep[-1] = True
-                if not bool(keep.all()):
-                    offs = offs[keep]
-                    mws = mws[keep]
-                for start_ns, end_ns, sensitivity, threshold in rows:
-                    if rx_dbm < sensitivity:
-                        return ReceptionOutcome.BELOW_SENSITIVITY
-                    if end_ns <= start_ns:
-                        continue
-                    i0 = int(_np.searchsorted(offs, start_ns, side="right")) - 1
-                    if i0 < 0:
-                        i0 = 0
-                    i1 = int(_np.searchsorted(offs, end_ns, side="left"))
-                    if i1 <= i0:
-                        continue
-                    worst_mw = float(mws[i0:i1].max())
-                    sinr = signal_mw / (noise_mw + worst_mw)
-                    if 10.0 * _log10(sinr) < threshold:
-                        return ReceptionOutcome.SINR_FAILURE
-                return ReceptionOutcome.OK
-            # Unsorted timeline (hand-built context): scalar path below
-            # handles it exactly like the reference.
 
         for start_ns, end_ns, sensitivity, threshold in rows:
             if rx_dbm < sensitivity:

@@ -6,7 +6,8 @@ At frame end a :class:`ReceptionModel` turns that timeline into a verdict:
 
 * :class:`SinrThresholdReception` (default, ns-2-style): every field of
   the frame must be received above the sensitivity of its rate and with a
-  worst-case SINR above the rate's threshold.
+  worst-case SINR above the rate's threshold.  The verdict is computed by
+  :class:`repro.phy.kernel.SinrKernel`, the one reception kernel.
 * :class:`BerReception` (ablation): integrates the bit-error probability
   over every (field x interference interval) and draws a Bernoulli.
 """
@@ -19,11 +20,11 @@ import random
 from dataclasses import dataclass
 
 from repro.phy import ber as ber_models
-from repro.phy.kernel import SinrKernel, resolve_kernel
+from repro.phy.kernel import SinrKernel
 from repro.phy.plans import TransmissionPlan
 from repro.phy.radio import RadioParameters
 from repro.errors import ConfigurationError
-from repro.units import dbm_to_mw, linear_to_db
+from repro.units import dbm_to_mw
 
 
 class ReceptionOutcome(enum.Enum):
@@ -95,28 +96,13 @@ class ReceptionModel(abc.ABC):
 class SinrThresholdReception(ReceptionModel):
     """Per-field sensitivity + worst-case SINR thresholds.
 
-    Two implementations produce the verdict:
-
-    * ``kernel="python"`` — the reference loop below, one SINR/dB
-      comparison per (field x interference interval);
-    * ``kernel="numpy"`` — the batched kernel
-      (:class:`repro.phy.kernel.SinrKernel`): per-plan threshold tables
-      and a worst-interval reduction (vectorized for long timelines)
-      that makes one dB conversion per field.  Bit-identical by
-      monotonicity — the golden digests pin it.
-
-    ``kernel=None`` resolves from the ``REPRO_KERNEL`` environment
-    variable (default ``auto``: numpy when importable).
+    The verdict comes from :class:`repro.phy.kernel.SinrKernel`: per-plan
+    threshold tables and one dB conversion per field, at its worst
+    interference interval.
     """
 
-    def __init__(self, kernel: str | None = None):
-        self._kernel_name = resolve_kernel(kernel)
-        self._kernel = SinrKernel() if self._kernel_name == "numpy" else None
-
-    @property
-    def kernel(self) -> str:
-        """Which implementation this model runs (``python``/``numpy``)."""
-        return self._kernel_name
+    def __init__(self):
+        self._kernel = SinrKernel()
 
     def evaluate(
         self,
@@ -124,39 +110,18 @@ class SinrThresholdReception(ReceptionModel):
         radio: RadioParameters,
         rng: random.Random,
     ) -> ReceptionOutcome:
-        if self._kernel is not None:
-            return self._kernel.evaluate(context, radio)
-        return self._evaluate_reference(context, radio)
-
-    def _evaluate_reference(
-        self, context: ReceptionContext, radio: RadioParameters
-    ) -> ReceptionOutcome:
-        signal_mw = dbm_to_mw(context.rx_power_dbm)
-        for start_ns, end_ns, segment in context.plan.segment_offsets_ns():
-            if context.rx_power_dbm < radio.sensitivity_dbm[segment.rate]:
-                return ReceptionOutcome.BELOW_SENSITIVITY
-            threshold_db = radio.sinr_threshold_db[segment.rate]
-            for _, _, interference_mw in context.interference_intervals(
-                start_ns, end_ns
-            ):
-                sinr = signal_mw / (context.noise_mw + interference_mw)
-                if linear_to_db(sinr) < threshold_db:
-                    return ReceptionOutcome.SINR_FAILURE
-        return ReceptionOutcome.OK
+        return self._kernel.evaluate(context, radio)
 
 
 class BerReception(ReceptionModel):
     """Bit-error integration over fields and interference intervals.
 
-    The ``numpy`` kernel setting swaps the per-term transcendental math
-    for the per-rate lookup tables + exact-key memo in
-    :mod:`repro.phy.ber` (:func:`~repro.phy.ber.frame_success_probability_cached`);
-    term order and arithmetic are unchanged, so the accumulated product
-    — and therefore the single Bernoulli draw — is bit-identical.
+    Success probabilities come from the per-rate lookup tables and
+    exact-key memo in :mod:`repro.phy.ber`
+    (:func:`~repro.phy.ber.frame_success_probability_cached`), which
+    return exactly what :func:`~repro.phy.ber.frame_success_probability`
+    computes, so the single Bernoulli draw per frame is unaffected.
     """
-
-    def __init__(self, kernel: str | None = None):
-        self._cached = resolve_kernel(kernel) == "numpy"
 
     def evaluate(
         self,
@@ -164,11 +129,6 @@ class BerReception(ReceptionModel):
         radio: RadioParameters,
         rng: random.Random,
     ) -> ReceptionOutcome:
-        success_of = (
-            ber_models.frame_success_probability_cached
-            if self._cached
-            else ber_models.frame_success_probability
-        )
         signal_mw = dbm_to_mw(context.rx_power_dbm)
         success_probability = 1.0
         for start_ns, end_ns, segment in context.plan.segment_offsets_ns():
@@ -180,7 +140,9 @@ class BerReception(ReceptionModel):
             ):
                 sinr = signal_mw / (context.noise_mw + interference_mw)
                 bits = segment.bits * (hi - lo) / duration
-                probability = success_of(segment.rate, sinr, round(bits))
+                probability = ber_models.frame_success_probability_cached(
+                    segment.rate, sinr, round(bits)
+                )
                 success_probability *= probability
         if rng.random() < success_probability:
             return ReceptionOutcome.OK

@@ -34,7 +34,7 @@ from repro.mac.ratecontrol import ArfConfig
 from repro.net.node import Node, NodeStackConfig
 from repro.net.routing import ROUTING_POLICIES, build_shortest_path_tables
 from repro.phy.radio import RadioParameters
-from repro.phy.reception import ReceptionModel, SinrThresholdReception
+from repro.phy.reception import ReceptionModel
 from repro.scenario.network import FlowHandle, ScenarioNetwork
 from repro.scenario.specs import (
     DEFAULT_FAST_SIGMA_DB,
@@ -251,11 +251,6 @@ def build(spec: ScenarioSpec) -> ScenarioNetwork:
         dot11=_stack_dot11(spec),
         mac_queue_frames=spec.stack.effective_queue_frames,
         arf=ArfConfig() if spec.stack.arf else None,
-        reception=(
-            SinrThresholdReception(kernel=spec.stack.kernel)
-            if spec.stack.kernel is not None
-            else None
-        ),
         medium_mode=spec.topology.medium,
         routing=spec.stack.routing,
     )

@@ -42,7 +42,6 @@ from repro.core.params import Dot11bConfig, MacParameters, Rate
 from repro.errors import ConfigurationError, FaultError
 from repro.mac.dcf import AckPolicy
 from repro.net.routing import ROUTING_POLICIES
-from repro.phy.kernel import KERNELS
 
 #: Serialisation format version; bump on incompatible spec changes.
 SPEC_VERSION = 1
@@ -544,8 +543,9 @@ class StackSpec:
     #: defaults.  Mutually exclusive with the top-level
     #: ``short_retry_limit`` / ``long_retry_limit`` fields.
     mac: MacParamsSpec | None = None
-    #: Reception kernel: ``"python"`` | ``"numpy"``, or ``None`` to defer
-    #: to the ``REPRO_KERNEL`` environment variable (default ``auto``).
+    #: Retired reception-kernel choice.  There is one kernel now; the
+    #: field stays so older spec files still load, and is validated so a
+    #: typo still fails fast, but nothing reads it after validation.
     kernel: str | None = None
     #: Routing policy: ``"direct"`` (single-hop, the paper's test-bed) |
     #: ``"shortest-path"`` (hop-count BFS tables built from the topology
@@ -573,10 +573,10 @@ class StackSpec:
             raise ConfigurationError(
                 f"mac_queue_frames must be >= 1, got {self.mac_queue_frames}"
             )
-        if self.kernel is not None and self.kernel not in KERNELS:
+        if self.kernel not in (None, "python", "numpy"):
             raise ConfigurationError(
                 f"unknown reception kernel {self.kernel!r}; "
-                f"accepted: {list(KERNELS)} (or null to follow REPRO_KERNEL)"
+                "accepted: ['python', 'numpy'] or null (all run the one kernel)"
             )
         if self.routing is not None and self.routing not in ROUTING_POLICIES:
             raise ConfigurationError(

@@ -1,23 +1,22 @@
-"""SL8xx — kernel/scheduler parity: keep the dual engines bit-identical.
+"""SL8xx — kernel/scheduler parity: keep float math and timers reproducible.
 
-PR 7 split the hot paths in two: reception math runs on either the
-python reference kernel or the vectorized numpy kernel (goldens prove
-them bit-identical), and timers ride the slot/token scheduler API.
-Both splits created bug classes a per-file style check cannot name:
+Two bug classes a per-file style check cannot name: float reductions
+whose last bit depends on iteration order or on which library reduces
+(python vs numpy), and misuse of the slot/token scheduler API that
+timers ride on:
 
 * **SL801** — order-dependent float accumulation over an unordered
   container.  ``sum()`` over a set (or a generator drawn from one)
-  rounds differently per iteration order, so two runs — or the two
-  kernels — can disagree in the last bit.  ``math.fsum`` is exact and
-  therefore order-independent; ``sorted()`` pins the order.  (SL202
+  rounds differently per iteration order, so two runs can disagree in
+  the last bit.  ``math.fsum`` is exact and therefore
+  order-independent; ``sorted()`` pins the order.  (SL202
   deliberately exempts ``sum(...)`` as "order-insensitive"; that is
   true for ints and exactly wrong for floats, which is this rule.)
-* **SL802** — builtin ``sum()`` in a dual-kernel module (one that also
-  imports numpy): the python reduction and the numpy reduction
-  (pairwise summation) round differently, so a module implementing
-  both paths must route reductions through ``math.fsum`` or a single
-  shared helper.  Integer reductions (``*_ns`` spines) are exact and
-  exempt.
+* **SL802** — builtin ``sum()`` in a module that also imports numpy:
+  the python reduction and the numpy reduction (pairwise summation)
+  round differently, so a module implementing both paths must route
+  reductions through ``math.fsum`` or a single shared helper.  Integer
+  reductions (``*_ns`` spines) are exact and exempt.
 * **SL803** — a numpy construction or reduction fed directly from a
   set or dict-key iteration: the array's element order inherits hash
   seeding, so every downstream reduction is irreproducible.
@@ -147,7 +146,7 @@ class DualKernelSumRule:
 
     rule_id = "SL802"
     summary = (
-        "builtin sum() in a numpy-importing (dual-kernel) module: python "
+        "builtin sum() in a numpy-importing module: python "
         "and numpy reductions round differently; use math.fsum or one "
         "shared reduction helper"
     )

@@ -15,7 +15,7 @@ from repro.analysis.analytic import (
     saturation_throughput,
     solve_fixed_point,
 )
-from repro.core.params import Dot11bConfig, MacParameters, Rate
+from repro.core.params import ALL_RATES, Dot11bConfig, MacParameters, Rate
 from repro.core.throughput_model import ThroughputModel
 from repro.errors import ConfigurationError
 
@@ -82,6 +82,16 @@ class TestFixedPoint:
         with pytest.raises(ConfigurationError):
             solve_fixed_point(0, 32, 1024, 7)
 
+    def test_tau_shrinks_with_population(self):
+        taus = [solve_fixed_point(n, 32, 1024, 7)[0] for n in (2, 4, 8, 16)]
+        assert taus == sorted(taus, reverse=True)
+
+    @given(stations=st.integers(min_value=1, max_value=100))
+    def test_probabilities_stay_in_range(self, stations):
+        tau, p = solve_fixed_point(stations, 32, 1024, 7)
+        assert 0.0 < tau < 1.0
+        assert 0.0 <= p < 1.0
+
 
 class TestSaturationThroughput:
     def test_single_station_equals_the_zero_contention_bound(self):
@@ -90,6 +100,45 @@ class TestSaturationThroughput:
         # mean initial backoff), so the two models must agree.
         prediction = saturation_throughput(1, app_payload_bytes=1024)
         assert prediction.efficiency == pytest.approx(1.0)
+
+    def test_single_station_matches_equation_1(self):
+        # At n = 1 the model degenerates to the paper's Equation (1) at
+        # every rate, not only at the default one.
+        for rate in ALL_RATES:
+            predicted = saturation_throughput(1, 512, rate).throughput_bps
+            eq1 = ThroughputModel().max_throughput_bps(512, rate)
+            assert predicted == pytest.approx(eq1, rel=0.001)
+
+    def test_rises_then_declines(self):
+        values = {
+            n: saturation_throughput(n).throughput_bps for n in (1, 2, 4, 16)
+        }
+        assert values[2] > values[1]  # fewer idle slots
+        assert values[16] < values[4]  # collisions start to bite
+
+    def test_throughput_bounded_by_data_rate(self):
+        for n in (1, 4, 32):
+            prediction = saturation_throughput(n, 512, Rate.MBPS_11)
+            assert 0 < prediction.throughput_bps < Rate.MBPS_11.bps
+
+    def test_matches_the_simulator(self):
+        """Bianchi's classic collision cost predicts a 4-station cell."""
+        from repro.apps.cbr import CbrSource
+        from repro.apps.sink import UdpSink
+        from repro.scenario import build_network
+
+        n = 4
+        positions = [0.0] + [2.0 + index for index in range(n)]
+        net = build_network(positions, data_rate=Rate.MBPS_11, fast_sigma_db=0.0)
+        sinks = []
+        for index in range(n):
+            port = 5001 + index
+            sinks.append(UdpSink(net[0], port=port, warmup_s=0.5))
+            CbrSource(net[index + 1], dst=1, dst_port=port, payload_bytes=512)
+        net.run(3.0)
+        simulated = sum(sink.throughput_bps(3.0) for sink in sinks)
+        analytic = saturation_throughput(n, collision_model="difs").throughput_bps
+        assert simulated == pytest.approx(analytic, rel=0.04)
 
     def test_throughput_degrades_with_contention(self):
         # Collisions erode throughput monotonically once more than one

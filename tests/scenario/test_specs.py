@@ -226,7 +226,6 @@ def test_stack_kernel_knob_round_trips():
     clone = ScenarioSpec.from_dict(spec.to_dict())
     assert clone.stack.kernel == "python"
     assert clone == spec
-    # Default stays "follow the environment".
     assert StackSpec().kernel is None
 
 

@@ -1,4 +1,4 @@
-"""Clean for SL802: the dual-kernel module reduces with math.fsum."""
+"""Clean for SL802: a numpy-importing module reduces with math.fsum."""
 import math
 
 import numpy as np
