@@ -325,4 +325,7 @@ def jain_index(values) -> float:
     square_sum = math.fsum(x * x for x in xs)
     if square_sum == 0.0:
         return 1.0
-    return math.fsum(xs) ** 2 / (len(xs) * square_sum)
+    n = len(xs)
+    # The exact index lies in [1/n, 1]; rounding in the two sums can
+    # land the float one ulp outside it, so clamp back.
+    return min(1.0, max(1.0 / n, math.fsum(xs) ** 2 / (n * square_sum)))

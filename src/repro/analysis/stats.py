@@ -6,8 +6,6 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from scipy import stats as scipy_stats
-
 from repro.errors import ConfigurationError
 
 
@@ -71,7 +69,12 @@ class RunningStats:
 def confidence_interval(
     values: Sequence[float], confidence: float = 0.95
 ) -> tuple[float, float]:
-    """(mean, half-width) of a Student-t confidence interval."""
+    """(mean, half-width) of a Student-t confidence interval.
+
+    scipy (which brings numpy) is imported on first use: nothing else in
+    the package needs it, and loading it at module level would dominate
+    the cost of ``import repro``.
+    """
     if not 0 < confidence < 1:
         raise ConfigurationError(
             f"confidence must be in (0, 1), got {confidence}"
@@ -82,7 +85,9 @@ def confidence_interval(
     stats.extend(values)
     if stats.count == 1:
         return stats.mean, 0.0
-    t = scipy_stats.t.ppf((1 + confidence) / 2, df=stats.count - 1)
+    from scipy import stats as scipy_stats
+
+    t = float(scipy_stats.t.ppf((1 + confidence) / 2, df=stats.count - 1))
     half_width = t * stats.stdev / math.sqrt(stats.count)
     return stats.mean, half_width
 

@@ -27,12 +27,12 @@ practical at all (see benchmarks/BENCH_multihop.json).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
 from repro.analysis.tables import render_table
 from repro.channel.propagation import LogDistancePathLoss
-from repro.channel.shadowing import distance_m
 from repro.core.range_model import solve_range_m
 from repro.net.routing import connectivity_graph
 from repro.parallel import SweepCache
@@ -169,17 +169,26 @@ def format_multihop_sweep(points: list[MultihopPoint]) -> str:
     )
 
 
-def _nearest_neighbour(
-    positions: Sequence[tuple[float, float]], index: int
-) -> int:
-    """Index of the closest other station (lowest index on ties)."""
-    best, best_d = -1, float("inf")
-    for other, position in enumerate(positions):
-        if other == index:
-            continue
-        d = distance_m(positions[index], position)
-        if d < best_d:
-            best, best_d = other, d
+def _nearest_neighbours(positions: Sequence[tuple[float, float]]) -> list[int]:
+    """Index of each station's closest other station (lowest index on
+    ties; -1 for a lone station).
+
+    One pass over the unordered pairs.  Station k sees its candidates in
+    ascending index order (lower ones as the ``j`` of an earlier ``i``,
+    then higher ones), so strict ``<`` keeps the lowest on ties.
+    """
+    n = len(positions)
+    best = [-1] * n
+    best_d = [math.inf] * n
+    for i in range(n):
+        xi, yi = positions[i]
+        for j in range(i + 1, n):
+            xj, yj = positions[j]
+            d = math.hypot(xi - xj, yi - yj)
+            if d < best_d[i]:
+                best[i], best_d[i] = j, d
+            if d < best_d[j]:
+                best[j], best_d[j] = i, d
     return best
 
 
@@ -198,11 +207,12 @@ def density_spec(
     topology = TopologySpec.random(
         n, spacing_m, seed=seed, fast_sigma_db=0.0
     )
+    nearest = _nearest_neighbours(topology.positions_m)
     flows = tuple(
         FlowSpec(
             kind="cbr",
             src=src,
-            dst=_nearest_neighbour(topology.positions_m, src),
+            dst=nearest[src],
             port=_PORT + src,
             payload_bytes=payload_bytes,
             rate_bps=rate_bps,

@@ -17,10 +17,11 @@ drop instead of handing the MAC a frame for an unreachable neighbour.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from typing import Mapping, Sequence
 
-from repro.channel.shadowing import Position, distance_m
+from repro.channel.shadowing import Position
 from repro.errors import ConfigurationError
 
 #: Routing policies a scenario spec can pin (``None`` means the default,
@@ -75,21 +76,24 @@ def connectivity_graph(
 ) -> dict[int, tuple[int, ...]]:
     """Adjacency over addresses 1..N: an edge iff within ``max_range_m``.
 
-    Neighbour tuples are ascending by address, which makes every
-    traversal over the graph deterministic by construction.
+    Each unordered pair is measured once and the edge appended to both
+    rows.  Station k receives its lower addresses first (as the ``j`` of
+    an earlier ``i``) and then its higher ones, so neighbour tuples come
+    out ascending by address without a sort, which makes every traversal
+    over the graph deterministic by construction.
     """
     if max_range_m <= 0:
         raise ConfigurationError(f"max range must be > 0 m, got {max_range_m}")
     n = len(positions_m)
-    graph: dict[int, tuple[int, ...]] = {}
+    rows: list[list[int]] = [[] for _ in range(n)]
     for i in range(n):
-        neighbours = [
-            j + 1
-            for j in range(n)
-            if j != i and distance_m(positions_m[i], positions_m[j]) <= max_range_m
-        ]
-        graph[i + 1] = tuple(neighbours)
-    return graph
+        xi, yi = positions_m[i]
+        for j in range(i + 1, n):
+            xj, yj = positions_m[j]
+            if math.hypot(xi - xj, yi - yj) <= max_range_m:
+                rows[i].append(j + 1)
+                rows[j].append(i + 1)
+    return {i + 1: tuple(row) for i, row in enumerate(rows)}
 
 
 def build_shortest_path_tables(

@@ -252,4 +252,16 @@ class TestJainIndex:
     )
     def test_always_in_the_unit_interval(self, values):
         index = jain_index(values)
-        assert 1.0 / len(values) <= index <= 1.0 + 1e-9
+        assert 1.0 / len(values) <= index <= 1.0
+
+    @pytest.mark.parametrize(
+        "values, expected",
+        [
+            # (sum x)^2 and sum x*x round differently: one ulp below 1.
+            ([373568025.43129283], 1.0),
+            # One hog among zeros: one ulp below the 1/n floor.
+            ([0.0, 0.0, 0.0, 0.0, 188719033.0], 0.2),
+        ],
+    )
+    def test_rounding_stays_inside_the_bounds(self, values, expected):
+        assert jain_index(values) == expected

@@ -59,6 +59,12 @@ class TestConfidenceInterval:
         expected = 2.776 * math.sqrt(2.5) / math.sqrt(5)
         assert half == pytest.approx(expected, abs=0.01)
 
+    def test_returns_plain_floats(self):
+        mean, half = confidence_interval([1.0, 2.0, 4.0])
+        assert (mean, half) == (2.3333333333333335, 3.7945830335967594)
+        assert type(mean) is float
+        assert type(half) is float
+
     def test_wider_at_higher_confidence(self):
         values = [10.0, 12.0, 9.0, 11.0, 13.0]
         _, h95 = confidence_interval(values, 0.95)

@@ -1,11 +1,17 @@
 """Tests for packets, routing and the IP layer."""
 
+import hashlib
+import math
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from repro.channel.shadowing import distance_m
 from repro.core.params import Rate
 from repro.errors import ConfigurationError
+from repro.experiments.multihop import _nearest_neighbours, density_spec
 from repro.scenario import build_network
 from repro.net.packet import DEFAULT_TTL, Datagram, PROTO_TCP, PROTO_UDP
 from repro.net.routing import (
@@ -95,6 +101,104 @@ class TestConnectivityGraph:
     def test_non_positive_range_rejected(self):
         with pytest.raises(ConfigurationError):
             connectivity_graph([(0.0, 0.0)], max_range_m=0.0)
+
+
+def _connectivity_graph_reference(positions_m, max_range_m):
+    """The per-station scan: every ordered pair measured on its own."""
+    n = len(positions_m)
+    return {
+        i + 1: tuple(
+            j + 1
+            for j in range(n)
+            if j != i and distance_m(positions_m[i], positions_m[j]) <= max_range_m
+        )
+        for i in range(n)
+    }
+
+
+def _nearest_neighbour_reference(positions, index):
+    """The per-station scan: closest other station, lowest index on ties."""
+    best, best_d = -1, float("inf")
+    for other, position in enumerate(positions):
+        if other == index:
+            continue
+        d = distance_m(positions[index], position)
+        if d < best_d:
+            best, best_d = other, d
+    return best
+
+
+_coordinate = st.floats(min_value=-2000.0, max_value=2000.0, allow_nan=False)
+
+
+@st.composite
+def _scattered(draw):
+    """Random positions, some stations copied onto others (coincident)."""
+    positions = draw(
+        st.lists(st.tuples(_coordinate, _coordinate), min_size=1, max_size=30)
+    )
+    copies = draw(st.lists(st.sampled_from(positions), max_size=5))
+    positions = positions + copies
+    draw(st.randoms()).shuffle(positions)
+    return positions, draw(st.floats(min_value=0.01, max_value=3000.0))
+
+
+@st.composite
+def _lattice(draw):
+    """Stations on a square lattice, sites repeatable: many exactly equal
+    distances (ties), with the range often exactly one of them."""
+    step = draw(st.sampled_from([0.1, 1.0, 50.0, 80.0]))
+    sites = draw(
+        st.lists(
+            st.tuples(st.integers(0, 5), st.integers(0, 5)),
+            min_size=1,
+            max_size=30,
+        )
+    )
+    positions = [(x * step, y * step) for x, y in sites]
+    max_range_m = step * draw(st.sampled_from([0.5, 1.0, math.sqrt(2.0), 2.0, 3.0]))
+    return positions, max_range_m
+
+
+_layouts = st.one_of(_scattered(), _lattice())
+
+
+class TestPairGeometryOracles:
+    @given(layout=_layouts)
+    def test_connectivity_graph_matches_the_per_station_scan(self, layout):
+        positions, max_range_m = layout
+        assert connectivity_graph(positions, max_range_m) == (
+            _connectivity_graph_reference(positions, max_range_m)
+        )
+
+    @given(layout=_layouts)
+    def test_nearest_neighbours_match_the_per_station_scan(self, layout):
+        positions, _ = layout
+        assert _nearest_neighbours(positions) == [
+            _nearest_neighbour_reference(positions, index)
+            for index in range(len(positions))
+        ]
+
+    def test_ties_go_to_the_lowest_index(self):
+        # Station 1 is equidistant from 0 and 2; 3 coincides with 0.
+        positions = [(0.0, 0.0), (1.0, 0.0), (2.0, 0.0), (0.0, 0.0)]
+        assert _nearest_neighbours(positions) == [3, 0, 1, 0]
+
+    @pytest.mark.parametrize(
+        "seed, head, sha",
+        [
+            (1, [130, 63, 52, 74, 118, 184], "d5913aa1e359d4a6"),
+            (2, [79, 132, 41, 67, 37, 145], "0094da7c9cdf5dbc"),
+            (3, [119, 133, 59, 155, 72, 20], "b4f7ae7f27a50cb6"),
+        ],
+    )
+    def test_density_flows_at_250_stations_are_unchanged(self, seed, head, sha):
+        # Destinations recorded from the per-station nearest-neighbour scan.
+        flows = density_spec(250, 1.0, 0.1, seed=seed).traffic.flows
+        assert [flow.src for flow in flows] == list(range(250))
+        dsts = [flow.dst for flow in flows]
+        assert dsts[:6] == head
+        assert hashlib.sha256(repr(dsts).encode()).hexdigest()[:16] == sha
 
 
 class TestShortestPathTables:

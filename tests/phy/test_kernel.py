@@ -11,6 +11,7 @@ interference, bursts around the sensitivity and SINR thresholds — and
 demand identical verdicts and identical RNG consumption.
 """
 
+import math
 import random
 
 import pytest
@@ -71,7 +72,8 @@ def _evaluate_reference(context, radio):
 
 
 def _evaluate_ber_reference(context, rng):
-    """BER verdict through the uncached ``frame_success_probability``."""
+    """BER verdict through the uncached ``frame_success_probability``,
+    with the success probability it drew against."""
     signal_mw = dbm_to_mw(context.rx_power_dbm)
     success_probability = 1.0
     for start_ns, end_ns, segment in context.plan.segment_offsets_ns():
@@ -87,8 +89,18 @@ def _evaluate_ber_reference(context, rng):
                 segment.rate, sinr, round(bits)
             )
     if rng.random() < success_probability:
-        return ReceptionOutcome.OK
-    return ReceptionOutcome.BER_FAILURE
+        return ReceptionOutcome.OK, success_probability
+    return ReceptionOutcome.BER_FAILURE, success_probability
+
+
+class _FixedDraw:
+    """An RNG stub whose ``random()`` always returns ``value``."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def random(self):
+        return self.value
 
 
 @st.composite
@@ -214,7 +226,18 @@ class TestBerBitIdentity:
         # Bernoulli draw: same seed, same outcome, same RNG consumption.
         context = make_context(PLANS[plan_index], rx_power_dbm, timeline)
         rng_ref, rng_fast = random.Random(seed), random.Random(seed)
-        expected = _evaluate_ber_reference(context, rng_ref)
-        got = BerReception().evaluate(context, RADIO, rng_fast)
+        expected, probability = _evaluate_ber_reference(context, rng_ref)
+        model = BerReception()
+        got = model.evaluate(context, RADIO, rng_fast)
         assert got is expected
         assert rng_ref.random() == rng_fast.random()  # same draw count
+        # A seeded draw only notices a wrong probability when it flips the
+        # verdict.  Drawing exactly p must fail and drawing the float just
+        # below p must succeed, which pins the model's probability to p.
+        failed = model.evaluate(context, RADIO, _FixedDraw(probability))
+        assert failed is ReceptionOutcome.BER_FAILURE
+        if probability > 0:
+            below = math.nextafter(probability, -math.inf)
+            assert model.evaluate(context, RADIO, _FixedDraw(below)) is (
+                ReceptionOutcome.OK
+            )
